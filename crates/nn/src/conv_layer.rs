@@ -3,8 +3,8 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::pack_memo::{integer_path, PackMemo, PackedWeight};
 use tia_quant::{
-    fake_quant_affine_slice, fake_quant_symmetric_into, gemm_quant, quantize_affine_levels,
-    Precision, QuantizedWeights,
+    fake_quant_affine_slice, fake_quant_symmetric_into, gemm_quant_strided,
+    quantize_affine_levels_hwc, OutStrides, Precision, QuantizedWeights,
 };
 use tia_tensor::{
     col2im_add_into, im2col_into, im2col_levels_rows, matmul_a_bt_ws, matmul_at_b_ws, simd,
@@ -31,6 +31,13 @@ use tia_tensor::{
 /// ([`PackedMatrix`]), so a random precision switch costs a lookup; the memo
 /// is invalidated whenever [`Layer::visit_params`] exposes the weights for
 /// mutation. All scratch comes from the caller's [`Workspace`].
+///
+/// On the integer serving path (`Mode::Infer` under native kernels, past
+/// the crossover depth) the same batching holds with a channel-last
+/// lowering: each image becomes an `[H, W, C]` level image, its patch rows
+/// are built in `(ki, kj, ci)` order (one contiguous copy per kernel row)
+/// against weight rows memoized in the matching `[K, KH·KW·C]` order, and
+/// the integer GEMM's epilogue writes NCHW directly.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     geo: Conv2dGeometry,
@@ -115,26 +122,35 @@ impl Conv2d {
         })
     }
 
-    /// The integer memo entry for `p`: the master weights `[K, C·KH·KW]`
-    /// quantized per-row to packed `i8`/`i4` on first use.
+    /// The integer memo entry for `p`: the master weights `[K, C, KH·KW]`
+    /// permuted to channel-last rows `[K, KH·KW·C]` — the feature order of
+    /// [`im2col_levels_rows`] — then quantized per-row to packed `i8`/`i4`,
+    /// on first use. The permutation moves no scale, row sum or dot.
     fn int_weight(&mut self, p: Precision) -> &QuantizedWeights {
         let k = self.geo.out_channels;
-        let f = self.geo.in_channels * self.geo.kernel_h * self.geo.kernel_w;
+        let (c, taps) = (self.geo.in_channels, self.geo.kernel_h * self.geo.kernel_w);
         let weight = &self.weight;
         self.packs.int_entry_or_insert(p, || {
-            QuantizedWeights::quantize_rows(weight.value.data(), k, f, p.bits())
+            let mut rows = vec![0.0f32; k * taps * c];
+            for (i, &v) in weight.value.data().iter().enumerate() {
+                let (ki, ci, tap) = (i / (c * taps), i / taps % c, i % taps);
+                rows[(ki * taps + tap) * c + ci] = v;
+            }
+            QuantizedWeights::quantize_rows(&rows, k, taps * c, p.bits())
         })
     }
 
-    /// The true-integer inference forward: per-image affine levels lowered
-    /// patch-per-row, one integer GEMM against the packed weight rows, then
-    /// a transpose-scatter into NCHW. Never caches (Infer only).
+    /// The true-integer inference forward: each image quantized to a
+    /// channel-last level image and lowered patch-per-row, then one integer
+    /// GEMM against the packed weight rows whose epilogue writes NCHW.
+    /// Never caches (Infer only).
     fn forward_int(&mut self, x: &Tensor, p: Precision, ws: &mut Workspace) -> Tensor {
         let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = self.geo.output_hw(h, w);
         let k = self.geo.out_channels;
-        let f = self.geo.in_channels * self.geo.kernel_h * self.geo.kernel_w;
-        let (ohw, chw) = (oh * ow, self.geo.in_channels * h * w);
+        let c = self.geo.in_channels;
+        let f = c * self.geo.kernel_h * self.geo.kernel_w;
+        let (ohw, chw) = (oh * ow, c * h * w);
         self.int_weight(p); // populate the memo for the active precision
         let wq = self.packs.get_int(p).expect("int_weight populated above");
         let ops = simd::backend(ws.kernel());
@@ -146,8 +162,8 @@ impl Conv2d {
         let mut scales = ws.take_spare(n);
         let mut zps = ws.take_ints_spare(n);
         for ni in 0..n {
-            let lp =
-                quantize_affine_levels(&x.data()[ni * chw..(ni + 1) * chw], &mut img_levels, p);
+            let img = &x.data()[ni * chw..(ni + 1) * chw];
+            let lp = quantize_affine_levels_hwc(img, c, &mut img_levels, p);
             scales[ni] = lp.scale;
             zps[ni] = lp.zero_point;
             im2col_levels_rows(
@@ -160,9 +176,10 @@ impl Conv2d {
             );
         }
 
-        // o[n·oh·ow, k]: each patch row dotted against every weight row.
-        let mut o = ws.take_spare(n * ohw * k);
-        gemm_quant(
+        // Each patch row dotted against every weight row; image `ni`'s dot
+        // `(s, ki)` lands at `out[ni][ki][s]`.
+        let mut out = ws.tensor_spare(&[n, k, oh, ow]);
+        gemm_quant_strided(
             ops,
             n * ohw,
             f,
@@ -171,21 +188,9 @@ impl Conv2d {
             &zps,
             wq,
             self.bias.as_ref().map(|b| b.value.data()),
-            &mut o,
+            out.data_mut(),
+            OutStrides::planes(ohw, k),
         );
-
-        // Transpose-scatter [n·oh·ow, k] into NCHW.
-        let mut out = ws.tensor_spare(&[n, k, oh, ow]);
-        let od = out.data_mut();
-        for ni in 0..n {
-            for s in 0..ohw {
-                let orow = &o[(ni * ohw + s) * k..(ni * ohw + s + 1) * k];
-                for (ki, &v) in orow.iter().enumerate() {
-                    od[(ni * k + ki) * ohw + s] = v;
-                }
-            }
-        }
-        ws.recycle(o);
         ws.recycle(scales);
         ws.recycle_ints(zps);
         ws.recycle_bytes(rows);

@@ -31,7 +31,12 @@ pub(crate) struct PackedWeight {
 ///
 /// The fake-quant f32 entries and the true-integer entries are memoized
 /// independently: a serving process on the integer path never builds f32
-/// panels, and a training process never packs integers.
+/// panels, and a training process never packs integers. The two kinds
+/// need not share a feature order either: f32 entries keep the master
+/// `[K, C·KH·KW]` layout backward passes multiply by, while a conv's
+/// integer entry is built from rows permuted to channel-last
+/// `[K, KH·KW·C]` (the builder closure owns that choice; the memo only
+/// stores the result).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PackMemo {
     entries: Vec<(Option<Precision>, PackedWeight)>,

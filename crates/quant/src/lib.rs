@@ -36,7 +36,10 @@ mod packed;
 mod precision;
 mod quantizer;
 
-pub use packed::{gemm_quant, quantize_affine_levels, LevelParams, QuantizedWeights};
+pub use packed::{
+    gemm_quant, gemm_quant_strided, quantize_affine_levels, quantize_affine_levels_hwc,
+    LevelParams, OutStrides, QuantizedWeights,
+};
 pub use precision::{Precision, PrecisionSet};
 pub use quantizer::{
     fake_quant_affine, fake_quant_affine_slice, fake_quant_symmetric, fake_quant_symmetric_into,

@@ -36,30 +36,117 @@ pub struct LevelParams {
     pub zero_point: i32,
 }
 
+/// Pixels per tile of the channel-interleaving writer: one tile of levels
+/// is computed contiguously (so the arithmetic vectorizes), then scattered.
+const TILE: usize = 64;
+
+/// `(min, max)` of `src` and `0.0`, ignoring NaNs — the value
+/// `fold(f32::min)` / `fold(f32::max)` give, computed over independent
+/// lanes so the compiler can keep one vector of running minima and one of
+/// maxima. `min`/`max` are order-independent up to the sign of a zero
+/// result, which no caller can observe (`hi - lo`, `-lo / scale` rounded,
+/// `hi == lo`).
+fn min_max_with_zero(src: &[f32]) -> (f32, f32) {
+    const LANES: usize = 16;
+    let (mut lo, mut hi) = ([0.0f32; LANES], [0.0f32; LANES]);
+    let mut chunks = src.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for ((l, h), &v) in lo.iter_mut().zip(&mut hi).zip(chunk) {
+            // A NaN fails both comparisons and is skipped.
+            *l = if v < *l { v } else { *l };
+            *h = if v > *h { v } else { *h };
+        }
+    }
+    let tail = chunks.remainder();
+    (
+        lo.iter().chain(tail).fold(0.0, |m, &v| v.min(m)),
+        hi.iter().chain(tail).fold(0.0, |m, &v| v.max(m)),
+    )
+}
+
+/// The affine grid a slice is quantized onto: `level = round(v / scale +
+/// zero_point)` clamped to `0..=levels`, all three kept in `f32`.
+#[derive(Clone, Copy)]
+struct Grid {
+    scale: f32,
+    zero_point: f32,
+    levels: f32,
+}
+
+impl Grid {
+    /// `(v / scale + zero_point).round().clamp(0.0, levels) as u8`, bit for
+    /// bit on every input (NaN gives level 0), without the `roundf` call.
+    ///
+    /// Clamping first is exact because rounding is monotone and the bounds
+    /// are integers. For `t` in `[0, 256)`, `t + 2^23` rounds `t` to the
+    /// nearest integer, ties to even, and leaves that integer in the low
+    /// mantissa bits; `t - nearest` is exact, and it is `+0.5` precisely on
+    /// the ties that went down where `round` (ties away from zero) goes up.
+    #[inline(always)]
+    fn level_of(self, v: f32) -> u8 {
+        const TWO_23: f32 = 8_388_608.0;
+        // `f32::max` drops a NaN for the 0.0, the level `NaN as u8` gives.
+        let t = (v / self.scale + self.zero_point).max(0.0).min(self.levels);
+        let shifted = t + TWO_23;
+        let tie_went_down = t - (shifted - TWO_23) == 0.5;
+        (shifted.to_bits() as u8).wrapping_add(tie_went_down as u8)
+    }
+
+    /// Quantizes a contiguous run.
+    fn quantize_run(self, src: &[f32], dst: &mut [u8]) {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = self.level_of(v);
+        }
+    }
+}
+
 /// Quantizes `src` onto the same affine grid as
 /// [`crate::fake_quant_affine_slice`], but emits the integer *levels*
 /// instead of the dequantized values. `(level - zero_point) * scale`
 /// reproduces the fake-quant output exactly.
+///
+/// This is [`quantize_affine_levels_hwc`] over a single plane.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ or `precision` exceeds 8 bits (levels
 /// must fit a byte).
 pub fn quantize_affine_levels(src: &[f32], dst: &mut [u8], precision: Precision) -> LevelParams {
+    quantize_affine_levels_hwc(src, 1, dst, precision)
+}
+
+/// Quantizes `channels` planes (`src` is `[C, H·W]`, one grid over all of
+/// it) into a channel-last level image: `dst[s * C + c]` is the level of
+/// `src[c * H·W + s]`. Grid and levels are those of
+/// [`quantize_affine_levels`] on the same slice — only the position each
+/// level is written to differs — so with `channels == 1` it *is* that
+/// function. The channel-last image is what
+/// [`tia_tensor::im2col_levels_rows`] lowers.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ, `channels` does not divide them
+/// (zero included), or `precision` exceeds 8 bits.
+// tia-lint: hot-path(begin)
+pub fn quantize_affine_levels_hwc(
+    src: &[f32],
+    channels: usize,
+    dst: &mut [u8],
+    precision: Precision,
+) -> LevelParams {
     assert_eq!(
         src.len(),
         dst.len(),
         "quantize_affine_levels length mismatch"
     );
+    assert!(
+        channels > 0 && src.len().is_multiple_of(channels),
+        "quantize_affine_levels: channels must divide the slice"
+    );
     let b = precision.bits() as u32;
     assert!(b <= 8, "activation levels beyond 8 bits do not fit a byte");
     let levels = ((1u64 << b) - 1) as f32;
-    let lo = src.iter().copied().fold(f32::INFINITY, f32::min).min(0.0);
-    let hi = src
-        .iter()
-        .copied()
-        .fold(f32::NEG_INFINITY, f32::max)
-        .max(0.0);
+    let (lo, hi) = min_max_with_zero(src);
     if hi == lo {
         // All-zero slice (lo ≤ 0 ≤ hi forces lo = hi = 0): level 0 is 0.0.
         dst.fill(0);
@@ -70,21 +157,40 @@ pub fn quantize_affine_levels(src: &[f32], dst: &mut [u8], precision: Precision)
     }
     let scale = (hi - lo) / levels;
     let zero_point = (-lo / scale).round();
-    for (d, &v) in dst.iter_mut().zip(src) {
-        *d = (v / scale + zero_point).round().clamp(0.0, levels) as u8;
+    let grid = Grid {
+        scale,
+        zero_point,
+        levels,
+    };
+    let hw = src.len() / channels;
+    let mut tile = [0u8; TILE];
+    for s0 in (0..hw).step_by(TILE) {
+        let t = TILE.min(hw - s0);
+        for (ci, plane) in src.chunks_exact(hw).enumerate() {
+            grid.quantize_run(&plane[s0..s0 + t], &mut tile[..t]);
+            let pixels = dst[s0 * channels + ci..].iter_mut().step_by(channels);
+            for (d, &level) in pixels.zip(&tile[..t]) {
+                *d = level;
+            }
+        }
     }
     LevelParams {
         scale,
         zero_point: zero_point as i32,
     }
 }
+// tia-lint: hot-path(end)
 
 /// A weight matrix stored as true integers: `rows` rows of `k` symmetric
 /// b-bit values with one scale per row, packed two-per-byte when `b ≤ 4`.
 ///
-/// Row layout matches the f32 weight-matrix rows the layer would otherwise
-/// multiply (`[out_features, in_features]` for linear, `[f, c·kh·kw]` for
-/// im2col conv), so each output element is one contiguous dot product.
+/// Each row is one output feature's reduction operand, in the feature
+/// order of the activation rows it is dotted against: `[out_features,
+/// in_features]` for linear, `[k, kh·kw·c]` (channels innermost, matching
+/// [`tia_tensor::im2col_levels_rows`]) for conv — so each output element is
+/// one contiguous dot product. Scales, row sums and every `i32` dot are
+/// invariant under a permutation of a row's features, which is why the conv
+/// layer is free to pick the order that makes its patch rows cheap to build.
 #[derive(Debug, Clone)]
 pub struct QuantizedWeights {
     rows: usize,
@@ -102,16 +208,27 @@ pub struct QuantizedWeights {
 }
 
 impl QuantizedWeights {
+    /// Deepest reduction the `i32` dot products take: `2^16 · 255 · 127`
+    /// stays below `2^31`, the bound [`SimdOps::dot_u8i8`] documents.
+    pub const MAX_DEPTH: usize = 1 << 16;
+
     /// Quantizes a row-major `rows x k` f32 matrix to symmetric `bits`-bit
     /// integers with per-row scales: `t = round(w / s)` with
     /// `s = max|row| / (2^{b-1} − 1)`.
     ///
     /// # Panics
     ///
-    /// Panics unless `2 ≤ bits ≤ 8` and `w.len() == rows * k`.
+    /// Panics unless `2 ≤ bits ≤ 8`, `w.len() == rows * k` and
+    /// `k ≤ MAX_DEPTH`.
     pub fn quantize_rows(w: &[f32], rows: usize, k: usize, bits: u8) -> Self {
         assert!((2..=8).contains(&bits), "integer path covers 2..=8 bits");
         assert_eq!(w.len(), rows * k, "quantize_rows shape mismatch");
+        // Every integer operand is built here, so this is where the dot
+        // kernels' "no i32 overflow" precondition is enforced.
+        assert!(
+            k <= Self::MAX_DEPTH,
+            "reduction depth {k} could overflow the i32 dot accumulator"
+        );
         let sub_byte = bits <= 4;
         let row_stride = if sub_byte { k.div_ceil(2) } else { k };
         let qmax = ((1i32 << (bits - 1)) - 1) as f32;
@@ -201,20 +318,45 @@ impl QuantizedWeights {
     }
 }
 
-/// The one integer GEMM driver: `out[i][j] = s_a(i) · s_w(j) · (acc − z·Σt)
-/// (+ bias[j])` over `m` activation rows of `k` levels against the `n = rows`
-/// quantized weight rows.
-///
-/// `a_scales`/`a_zps` hold one affine grid per *group* of consecutive
-/// activation rows (`m` must be a multiple of their length): linear layers
-/// pass one grid per sample row, conv layers one grid per image covering all
-/// its `oh·ow` patch rows. The dequantization expression lives here and only
-/// here, so every layer and every backend agrees on it bit for bit.
+/// Where the integer GEMM puts output element `(group g, row r of the
+/// group, weight row j)`: at `g * group + r * row + j * col` in `out`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutStrides {
+    /// Distance between the first elements of consecutive groups.
+    pub group: usize,
+    /// Distance between consecutive activation rows of one group.
+    pub row: usize,
+    /// Distance between consecutive weight rows (output features).
+    pub col: usize,
+}
+
+impl OutStrides {
+    /// Plain row-major `[m, n]`: what [`gemm_quant`] writes.
+    pub fn row_major(rows_per_group: usize, n: usize) -> Self {
+        Self {
+            group: rows_per_group * n,
+            row: n,
+            col: 1,
+        }
+    }
+
+    /// One `[n, rows_per_group]` plane block per group — NCHW when a group
+    /// is an image and its rows are the `oh·ow` output pixels.
+    pub fn planes(rows_per_group: usize, n: usize) -> Self {
+        Self {
+            group: n * rows_per_group,
+            row: 1,
+            col: rows_per_group,
+        }
+    }
+}
+
+/// Row-major integer GEMM: [`gemm_quant_strided`] writing `out` as `[m,
+/// rows]`.
 ///
 /// # Panics
 ///
 /// Panics (in debug builds) on shape mismatches.
-// tia-lint: hot-path(begin)
 #[allow(clippy::too_many_arguments)] // a GEMM signature is its operand list
 pub fn gemm_quant(
     ops: &dyn SimdOps,
@@ -227,6 +369,41 @@ pub fn gemm_quant(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
+    debug_assert_eq!(out.len(), m * w.rows);
+    let rows_per_group = m / a_scales.len().max(1);
+    let strides = OutStrides::row_major(rows_per_group, w.rows);
+    gemm_quant_strided(ops, m, k, a_levels, a_scales, a_zps, w, bias, out, strides);
+}
+
+/// The one integer GEMM driver: `out[i][j] = s_a(i) · s_w(j) · (acc − z·Σt)
+/// (+ bias[j])` over `m` activation rows of `k` levels against the `n = rows`
+/// quantized weight rows, each dequantized dot stored where `strides` says.
+///
+/// `a_scales`/`a_zps` hold one affine grid per *group* of consecutive
+/// activation rows (`m` must be a multiple of their length): linear layers
+/// pass one grid per sample row, conv layers one grid per image covering all
+/// its `oh·ow` patch rows — and [`OutStrides::planes`], so the epilogue
+/// writes NCHW directly. The dequantization expression lives here and only
+/// here, so every layer and every backend agrees on it bit for bit.
+///
+/// # Panics
+///
+/// Panics (in debug builds) on shape mismatches, and on any build if `out`
+/// is too short for `strides`.
+// tia-lint: hot-path(begin)
+#[allow(clippy::too_many_arguments)] // a GEMM signature is its operand list
+pub fn gemm_quant_strided(
+    ops: &dyn SimdOps,
+    m: usize,
+    k: usize,
+    a_levels: &[u8],
+    a_scales: &[f32],
+    a_zps: &[i32],
+    w: &QuantizedWeights,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    strides: OutStrides,
+) {
     let n = w.rows;
     debug_assert_eq!(k, w.k, "depth mismatch");
     debug_assert_eq!(a_levels.len(), m * k);
@@ -235,7 +412,6 @@ pub fn gemm_quant(
         m == 0 || m.is_multiple_of(a_scales.len()),
         "rows must group evenly"
     );
-    debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 {
         return;
     }
@@ -243,10 +419,10 @@ pub fn gemm_quant(
     let sub_byte = w.bits <= 4;
     let wrow = |j: usize| &w.data[j * w.row_stride..(j + 1) * w.row_stride];
     for i in 0..m {
-        let g = i / rows_per_group;
+        let (g, r) = (i / rows_per_group, i % rows_per_group);
         let (s_a, z) = (a_scales[g], a_zps[g] as i64);
         let arow = &a_levels[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
+        let base = g * strides.group + r * strides.row;
         // The dequantization expression — defined once, used everywhere.
         let deq = |acc: i32, j: usize| {
             let v = (s_a * w.scales[j]) * ((acc as i64 - z * w.row_sums[j] as i64) as f32);
@@ -265,7 +441,7 @@ pub fn gemm_quant(
                 ops.dot_u8i8_x4(arow, wrow(j), wrow(j + 1), wrow(j + 2), wrow(j + 3))
             };
             for (l, acc) in q.into_iter().enumerate() {
-                orow[j + l] = deq(acc, j + l);
+                out[base + (j + l) * strides.col] = deq(acc, j + l);
             }
             j += 4;
         }
@@ -275,7 +451,7 @@ pub fn gemm_quant(
             } else {
                 ops.dot_u8i8(arow, wrow(j))
             };
-            orow[j] = deq(acc, j);
+            out[base + j * strides.col] = deq(acc, j);
             j += 1;
         }
     }
@@ -312,6 +488,128 @@ mod tests {
         let p = quantize_affine_levels(&[0.0; 5], &mut lv, Precision::new(4));
         assert_eq!(lv, vec![0; 5]);
         assert_eq!(p.zero_point, 0);
+    }
+
+    #[test]
+    fn level_of_equals_round_then_clamp_on_a_dense_sweep() {
+        // The reference is the expression the fast form replaced. Sweep every
+        // half-integer neighbourhood in and around the byte range at 1-ulp
+        // resolution, plus the values no image should hold but a peer can
+        // send.
+        let reference =
+            |g: Grid, v: f32| (v / g.scale + g.zero_point).round().clamp(0.0, g.levels) as u8;
+        let mut inputs = vec![
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -0.0,
+        ];
+        for half in -8..=520 {
+            let v = half as f32 * 0.5;
+            inputs.extend([
+                v.next_down().next_down(),
+                v.next_down(),
+                v,
+                v.next_up(),
+                v.next_up().next_up(),
+            ]);
+        }
+        let mut rng = SeededRng::new(31);
+        inputs.extend((0..20_000).map(|_| rng.normal() * 90.0 + 100.0));
+        for bits in 2u32..=8 {
+            let levels = ((1u32 << bits) - 1) as f32;
+            for (scale, zero_point) in [(1.0f32, 0.0f32), (1.0, 3.0), (0.37, 1.0), (2.5, 100.0)] {
+                let g = Grid {
+                    scale,
+                    zero_point,
+                    levels,
+                };
+                for &v in &inputs {
+                    // Both the raw value and the one that lands `v` on `t`.
+                    for x in [v, (v - zero_point) * scale] {
+                        assert_eq!(
+                            g.level_of(x),
+                            reference(g, x),
+                            "bits={bits} scale={scale} zp={zero_point} x={x:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn min_max_matches_the_sequential_folds() {
+        let mut rng = SeededRng::new(32);
+        for len in [0usize, 1, 15, 16, 17, 97, 256] {
+            for case in 0..4 {
+                let mut x: Vec<f32> = (0..len).map(|_| rng.normal() - 0.3).collect();
+                if case == 1 {
+                    x.iter_mut().for_each(|v| *v = v.abs()); // lo clamps to 0
+                }
+                if case == 2 {
+                    x.iter_mut().for_each(|v| *v = -v.abs()); // hi clamps to 0
+                }
+                if case == 3 && len > 2 {
+                    x[len / 2] = f32::NAN;
+                    x[len - 1] = f32::NAN;
+                }
+                let lo = x.iter().copied().fold(f32::INFINITY, f32::min).min(0.0);
+                let hi = x.iter().copied().fold(f32::NEG_INFINITY, f32::max).max(0.0);
+                assert_eq!(min_max_with_zero(&x), (lo, hi), "len {len} case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn channel_last_writer_permutes_the_contiguous_levels() {
+        let mut rng = SeededRng::new(33);
+        // hw on both sides of TILE and not a multiple of it; c not a
+        // multiple of anything.
+        for (c, hw) in [(1usize, 50usize), (3, 7), (5, 64), (7, 65), (19, 200)] {
+            let mut x: Vec<f32> = (0..c * hw).map(|_| rng.normal()).collect();
+            x[c * hw / 2] = f32::NAN;
+            for bits in 2u8..=8 {
+                let p = Precision::new(bits);
+                let mut flat = vec![0u8; c * hw];
+                let want = quantize_affine_levels(&x, &mut flat, p);
+                let mut hwc = vec![0xAAu8; c * hw];
+                let got = quantize_affine_levels_hwc(&x, c, &mut hwc, p);
+                assert_eq!(got, want);
+                for ci in 0..c {
+                    for s in 0..hw {
+                        assert_eq!(
+                            hwc[s * c + ci],
+                            flat[ci * hw + s],
+                            "c={c} hw={hw} ({ci},{s})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "could overflow the i32 dot accumulator")]
+    fn quantize_rows_refuses_depths_the_i32_dot_cannot_hold() {
+        let k = QuantizedWeights::MAX_DEPTH + 1;
+        QuantizedWeights::quantize_rows(&vec![0.0; k], 1, k, 8);
+    }
+
+    #[test]
+    fn deepest_allowed_dot_stays_inside_i32() {
+        // Worst case at MAX_DEPTH: every level 255 against every weight at
+        // the i8 extreme the symmetric grid can produce (±127).
+        let k = QuantizedWeights::MAX_DEPTH;
+        let q = QuantizedWeights::quantize_rows(&vec![-1.0; k], 1, k, 8);
+        let a = vec![255u8; k];
+        for mode in [KernelMode::Scalar, KernelMode::Native] {
+            let acc = simd::backend(mode).dot_u8i8(&a, &q.data[..k]);
+            assert_eq!(acc as i64, -255 * 127 * k as i64);
+        }
     }
 
     #[test]
@@ -473,6 +771,47 @@ mod tests {
                     .map(|v| v.to_bits())
                     .collect::<Vec<_>>()
             );
+        }
+    }
+
+    #[test]
+    fn plane_strides_write_the_transpose_of_row_major() {
+        let mut rng = SeededRng::new(25);
+        let (groups, rows_per, k, n) = (3, 5, 21, 6);
+        let m = groups * rows_per;
+        let w: Vec<f32> = (0..n * k).map(|_| rng.normal()).collect();
+        let bias: Vec<f32> = (0..n).map(|_| rng.normal()).collect();
+        let levels: Vec<u8> = (0..m * k).map(|_| rng.below(256) as u8).collect();
+        let scales = [0.02f32, 0.05, 0.01];
+        let zps = [7i32, 130, 0];
+        let ops = simd::backend(KernelMode::Native);
+        for bits in [4u8, 8] {
+            let q = QuantizedWeights::quantize_rows(&w, n, k, bits);
+            let mut rm = vec![0.0f32; m * n];
+            gemm_quant(ops, m, k, &levels, &scales, &zps, &q, Some(&bias), &mut rm);
+            let mut planes = vec![f32::NAN; m * n];
+            gemm_quant_strided(
+                ops,
+                m,
+                k,
+                &levels,
+                &scales,
+                &zps,
+                &q,
+                Some(&bias),
+                &mut planes,
+                OutStrides::planes(rows_per, n),
+            );
+            for g in 0..groups {
+                for r in 0..rows_per {
+                    for j in 0..n {
+                        assert_eq!(
+                            planes[(g * n + j) * rows_per + r].to_bits(),
+                            rm[(g * rows_per + r) * n + j].to_bits()
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -148,17 +148,21 @@ pub fn im2col_into(
 }
 // tia-lint: hot-path(end)
 
-/// Lowers one image of quantized *levels* (flat `[C, H, W]` of `u8`) to the
-/// transposed patch matrix `[OH*OW, C*KH*KW]` — one patch per **row**, so an
-/// integer GEMM can take each row as a contiguous dot-product operand
+/// Lowers one channel-last image of quantized *levels* (flat `[H, W, C]` of
+/// `u8`) to the patch matrix `[OH*OW, KH*KW*C]` — one patch per **row**, so
+/// an integer GEMM can take each row as a contiguous dot-product operand
 /// against a quantized weight row (see `tia-quant`).
 ///
-/// Feature order within a row is `(ci * kh + ki) * kw + kj`, matching the
-/// weight-matrix row layout used by [`im2col_into`]'s patch rows. Padded
-/// taps are written as `zero_point` — the level that dequantizes to `0.0`,
-/// exactly what the f32 path's zero-filled padding contributes.
+/// Feature order within a row is `(ki * kw + kj) * c + ci`: with the
+/// channels innermost on both sides, the in-bounds part of every kernel row
+/// is one contiguous run of up to `kw * c` bytes in the image and is copied
+/// as such. The weight rows must be permuted to the same `[K, KH*KW*C]`
+/// order (see `tia-nn`'s integer memo); integer accumulation is exact, so
+/// the order inside a dot product changes no result bit. Padded taps are
+/// written as `zero_point` — the level that dequantizes to `0.0`, exactly
+/// what the f32 path's zero-filled padding contributes.
 ///
-/// `dst` must hold `oh * ow * c * kh * kw` bytes.
+/// `dst` must hold `oh * ow * kh * kw * c` bytes.
 ///
 /// # Panics
 ///
@@ -180,34 +184,35 @@ pub fn im2col_levels_rows(
     );
     let (kh, kw, stride, pad) = (geo.kernel_h, geo.kernel_w, geo.stride, geo.padding);
     let (oh, ow) = geo.output_hw(h, w);
-    let f = c * kh * kw;
+    let run = kw * c;
+    let f = kh * run;
     assert_eq!(
         dst.len(),
         oh * ow * f,
         "im2col_levels_rows dst size mismatch"
     );
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let prow = &mut dst[(oy * ow + ox) * f..(oy * ow + ox + 1) * f];
-            for ci in 0..c {
-                for ki in 0..kh {
-                    let iy = (oy * stride + ki) as isize - pad as isize;
-                    let base = (ci * kh + ki) * kw;
-                    if iy < 0 || iy >= h as isize {
-                        prow[base..base + kw].fill(zero_point);
-                        continue;
-                    }
-                    let irow = &img[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
-                    for kj in 0..kw {
-                        let ix = (ox * stride + kj) as isize - pad as isize;
-                        prow[base + kj] = if ix < 0 || ix >= w as isize {
-                            zero_point
-                        } else {
-                            irow[ix as usize]
-                        };
-                    }
-                }
-            }
+    if f == 0 {
+        return;
+    }
+    for (o, prow) in dst.chunks_exact_mut(f).enumerate() {
+        let (y0, x0) = (o / ow * stride, o % ow * stride);
+        // Tap (ki, kj) reads image (y0 + ki - pad, x0 + kj - pad): the
+        // kernel rows inside the image are ki_lo..ki_hi, likewise columns.
+        let ki_lo = pad.saturating_sub(y0).min(kh);
+        let ki_hi = (h + pad).saturating_sub(y0).min(kh);
+        let kj_lo = pad.saturating_sub(x0).min(kw);
+        let kj_hi = (w + pad).saturating_sub(x0).min(kw);
+        let n = (kj_hi - kj_lo) * c;
+        if (ki_hi - ki_lo) * n < f {
+            // A border patch: padding everywhere the copies below skip.
+            prow.fill(zero_point);
+        }
+        if n == 0 {
+            continue;
+        }
+        for ki in ki_lo..ki_hi {
+            let src = ((y0 + ki - pad) * w + x0 + kj_lo - pad) * c;
+            prow[ki * run + kj_lo * c..][..n].copy_from_slice(&img[src..src + n]);
         }
     }
 }
@@ -337,31 +342,42 @@ mod tests {
     #[test]
     fn im2col_levels_rows_is_transposed_im2col() {
         // With levels equal to the f32 values and zero_point 0, the level
-        // patch matrix must be exactly im2col's transpose.
+        // patch matrix of the channel-last image must be im2col's transpose
+        // with each row's features permuted (ci, ki, kj) -> (ki, kj, ci).
         let mut rng = SeededRng::new(9);
         let geo = Conv2dGeometry::new(2, 1, 3, 2, 1);
-        let (h, w) = (5, 4);
-        let levels: Vec<u8> = (0..2 * h * w).map(|_| rng.below(200) as u8).collect();
-        let x = Tensor::from_vec(levels.iter().map(|&v| v as f32).collect(), &[2, h, w]);
+        let (c, h, w) = (2, 5, 4);
+        let x = Tensor::from_vec(
+            (0..c * h * w).map(|_| rng.below(200) as f32).collect(),
+            &[c, h, w],
+        );
+        let mut hwc = vec![0u8; c * h * w];
+        for (i, &v) in x.data().iter().enumerate() {
+            hwc[i % (h * w) * c + i / (h * w)] = v as u8;
+        }
         let cols = im2col(&x, &geo);
         let (oh, ow) = geo.output_hw(h, w);
-        let f = 2 * 3 * 3;
+        let (kh, kw) = (3, 3);
+        let f = c * kh * kw;
         let mut rows = vec![0u8; oh * ow * f];
-        im2col_levels_rows(&levels, &geo, h, w, 0, &mut rows);
-        for r in 0..f {
-            for col in 0..oh * ow {
-                assert_eq!(
-                    rows[col * f + r] as f32,
-                    cols.data()[r * (oh * ow) + col],
-                    "feature {} patch {}",
-                    r,
-                    col
-                );
+        im2col_levels_rows(&hwc, &geo, h, w, 0, &mut rows);
+        for ci in 0..c {
+            for tap in 0..kh * kw {
+                for col in 0..oh * ow {
+                    assert_eq!(
+                        rows[col * f + tap * c + ci] as f32,
+                        cols.data()[(ci * kh * kw + tap) * (oh * ow) + col],
+                        "channel {} tap {} patch {}",
+                        ci,
+                        tap,
+                        col
+                    );
+                }
             }
         }
         // A nonzero zero_point must land on every padded tap.
         let mut rows_zp = vec![0u8; oh * ow * f];
-        im2col_levels_rows(&levels, &geo, h, w, 7, &mut rows_zp);
+        im2col_levels_rows(&hwc, &geo, h, w, 7, &mut rows_zp);
         for (a, b) in rows.iter().zip(&rows_zp) {
             assert!(*b == *a || (*a == 0 && *b == 7));
         }

@@ -66,7 +66,9 @@ pub trait SimdOps: Sync {
     /// `i8` weights (`w` bytes are two's-complement `i8`), accumulated
     /// exactly in `i32` — order-independent, hence bitwise on every arch.
     ///
-    /// Callers keep `a.len() ≤ 2^16` so `Σ 255·127` cannot overflow.
+    /// `a.len() ≤ 2^16` keeps `Σ 255·127` inside `i32`; the integer
+    /// operands' one constructor (`tia_quant::QuantizedWeights::
+    /// quantize_rows`) refuses deeper rows, so no caller can exceed it.
     fn dot_u8i8(&self, a: &[u8], w: &[u8]) -> i32;
 
     /// Four [`SimdOps::dot_u8i8`] dots sharing one activation row — the
