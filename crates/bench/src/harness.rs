@@ -103,48 +103,6 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> BenchResult {
     result
 }
 
-/// Renders bench results as a flat JSON object `{name: ns_per_iter, ...}` —
-/// enough structure for PR-over-PR perf trajectories without serde.
-pub fn to_json(results: &[BenchResult]) -> String {
-    let mut out = String::from("{\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  \"{}\": {{\"ns_per_iter\": {:.1}, \"per_sec\": {:.2}}}{}\n",
-            r.name,
-            r.ns_per_iter,
-            r.per_sec(),
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push('}');
-    out
-}
-
-/// [`to_json`] with a leading `"_meta"` object of string fields — the
-/// snapshot's context (e.g. which SIMD backend `native` dispatched to),
-/// so a perf number is never read without knowing what produced it.
-pub fn to_json_with_meta(results: &[BenchResult], meta: &[(&str, &str)]) -> String {
-    let mut out = String::from("{\n  \"_meta\": {");
-    for (i, (k, v)) in meta.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{k}\": \"{v}\""));
-    }
-    out.push_str(if results.is_empty() { "}\n" } else { "},\n" });
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  \"{}\": {{\"ns_per_iter\": {:.1}, \"per_sec\": {:.2}}}{}\n",
-            r.name,
-            r.ns_per_iter,
-            r.per_sec(),
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push('}');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,49 +112,5 @@ mod tests {
         let r = bench("noop_add", || black_box(1u64) + black_box(2u64));
         assert!(r.iters > 0);
         assert!(r.ns_per_iter >= 0.0);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rs = vec![
-            BenchResult {
-                name: "a".into(),
-                iters: 1,
-                ns_per_iter: 10.0,
-            },
-            BenchResult {
-                name: "b".into(),
-                iters: 1,
-                ns_per_iter: 20.0,
-            },
-        ];
-        let j = to_json(&rs);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"a\"") && j.contains("\"b\""));
-        // One separator between the two entries, none after the last.
-        assert_eq!(j.matches("},\n").count(), 1);
-        assert!(j.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn meta_json_carries_its_fields_and_all_entries() {
-        let rs = vec![BenchResult {
-            name: "a".into(),
-            iters: 1,
-            ns_per_iter: 10.0,
-        }];
-        let j = to_json_with_meta(
-            &rs,
-            &[("kernel_backend", "avx2"), ("kernel_mode", "native")],
-        );
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(
-            j.contains("\"_meta\": {\"kernel_backend\": \"avx2\", \"kernel_mode\": \"native\"},")
-        );
-        assert!(j.contains("\"a\""));
-        // Empty result set still closes the meta object cleanly.
-        let empty = to_json_with_meta(&[], &[("kernel_backend", "scalar")]);
-        assert!(empty.contains("\"kernel_backend\": \"scalar\"}"));
-        assert!(empty.ends_with('}'));
     }
 }

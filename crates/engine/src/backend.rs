@@ -40,11 +40,11 @@ pub trait Backend {
     /// [`BatchCost::unmodeled`].
     ///
     /// Implementations must price **linearly in `frames`** (per-frame cost
-    /// times the frame count, as [`BatchCost::modeled`] does): the sharded
-    /// runtime bills each request at `cost(1, p)` and merges in request-id
-    /// order, while the single-threaded engine bills `cost(n, p)` per
-    /// micro-batch — a nonlinear model (batching discounts, per-batch
-    /// overheads) would make the two surfaces disagree.
+    /// times the frame count, as [`BatchCost::modeled`] does): the engine
+    /// bills each request at `cost(1, p)` and merges in request-id order,
+    /// while a backend's own ledger ([`crate::SimBacked`]) bills
+    /// `cost(n, p)` per micro-batch — a nonlinear model (batching
+    /// discounts, per-batch overheads) would make the two disagree.
     fn cost(&self, frames: usize, precision: Option<Precision>) -> BatchCost {
         let _ = precision;
         BatchCost::unmodeled(frames)

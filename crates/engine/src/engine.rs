@@ -1,4 +1,5 @@
-//! The micro-batching, policy-driven serving loop.
+//! The serving coordinator — one submit-time-scheduled request queue behind
+//! [`Engine`] and [`crate::ShardedEngine`] — and its inline executor.
 
 use crate::{Backend, BatchCost, PrecisionPolicy};
 use tia_quant::Precision;
@@ -8,34 +9,14 @@ use tia_tensor::{argmax_rows, KernelMode, SeededRng, Tensor, Workspace};
 /// callers can re-associate out-of-order completions.
 pub type RequestId = u64;
 
-/// Whether the policy is sampled once per coalesced batch or once per
-/// request (Alg. 1's per-query random switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PolicyGranularity {
-    /// One precision draw per served request — the paper's RPS inference.
-    #[default]
-    PerRequest,
-    /// One precision draw per coalesced batch — cheaper switching, the mode
-    /// batch-serving deployments use.
-    PerBatch,
-}
-
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Largest coalesced batch the engine will form.
     pub max_batch: usize,
-    /// Per-request vs per-batch precision sampling.
-    pub granularity: PolicyGranularity,
     /// Seed of the engine's private policy RNG; a fixed seed yields a
     /// reproducible precision-switch schedule.
     pub seed: u64,
-    /// Cap on buffers parked in each engine-owned [`Workspace`] arena (the
-    /// single-threaded engine's batch-assembly arena, and every sharded
-    /// worker's). Recycles beyond the cap drop their buffer — bounded
-    /// memory, graceful degradation. Defaults to
-    /// [`Workspace::DEFAULT_MAX_POOLED`].
-    pub workspace_cap: usize,
     /// Kernel dispatch mode pushed into the backend at engine construction:
     /// `Scalar` pins the bitwise reference kernels (reproducing historical
     /// logits exactly), `Native` enables runtime SIMD dispatch and the
@@ -48,9 +29,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_batch: 32,
-            granularity: PolicyGranularity::PerRequest,
             seed: 0,
-            workspace_cap: Workspace::DEFAULT_MAX_POOLED,
             kernel: KernelMode::global_default(),
         }
     }
@@ -63,21 +42,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the policy sampling granularity.
-    pub fn with_granularity(mut self, granularity: PolicyGranularity) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
     /// Sets the policy RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the per-arena workspace pool cap (clamped to at least 1).
-    pub fn with_workspace_cap(mut self, cap: usize) -> Self {
-        self.workspace_cap = cap.max(1);
         self
     }
 
@@ -88,8 +55,7 @@ impl EngineConfig {
     }
 }
 
-/// Why a submission was refused by [`Engine::try_submit`] /
-/// [`crate::ShardedEngine::try_submit`].
+/// Why a submission was refused by [`Engine::try_submit`].
 ///
 /// The panicking `submit` entry points wrap these; network front-ends use
 /// the `try_` forms so a malformed request costs the caller a rejection
@@ -132,64 +98,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Submit-time precision assignment shared by [`Engine`] and
-/// [`crate::ShardedEngine`] — one definition so the two surfaces can never
-/// diverge on the draw rule: under per-request granularity, draw from the
-/// seeded policy stream now; under per-batch, leave unassigned (the flush
-/// path draws once per coalesced chunk).
-/// `level` and `floor` reach the draw only through
-/// [`PrecisionPolicy::sample_degraded`], which consumes exactly one draw for
-/// every sampling policy at every level — controller shifts can change the
-/// value a draw maps to, never the stream position.
-pub(crate) fn draw_precision(
-    policy: &PrecisionPolicy,
-    rng: &mut SeededRng,
-    granularity: PolicyGranularity,
-    level: u8,
-    floor: Option<Precision>,
-) -> Option<Option<Precision>> {
-    match granularity {
-        PolicyGranularity::PerRequest => Some(policy.sample_degraded(rng, level, floor)),
-        PolicyGranularity::PerBatch => None,
-    }
-}
-
-/// The pinned-submission counterpart of [`draw_precision`]: a pin consumes
-/// no draw, and under per-batch granularity it is ignored entirely.
-pub(crate) fn pin_precision(
-    granularity: PolicyGranularity,
-    precision: Option<Precision>,
-) -> Option<Option<Precision>> {
-    match granularity {
-        PolicyGranularity::PerRequest => Some(precision),
-        PolicyGranularity::PerBatch => None,
-    }
-}
-
-/// Shared submit-time validation: pins the engine's input geometry on first
-/// use, rejects rank/shape mismatches after.
-pub(crate) fn check_image(
-    image_shape: &mut Option<Vec<usize>>,
-    image: &Tensor,
-) -> Result<(), SubmitError> {
-    if image.shape().len() != 3 {
-        return Err(SubmitError::NotAnImage {
-            rank: image.shape().len(),
-        });
-    }
-    match image_shape {
-        Some(shape) if shape.as_slice() != image.shape() => Err(SubmitError::ShapeMismatch {
-            expected: shape.clone(),
-            got: image.shape().to_vec(),
-        }),
-        Some(_) => Ok(()),
-        None => {
-            *image_shape = Some(image.shape().to_vec());
-            Ok(())
-        }
-    }
-}
-
 /// One completed request.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -226,85 +134,195 @@ impl EngineStats {
     }
 }
 
-struct Pending {
-    id: RequestId,
-    // Assigned at submit time under per-request granularity so the schedule
-    // depends only on the seed and submission order, not on flush timing.
-    precision: Option<Option<Precision>>,
+/// A submitted request. Its whole schedule — id and precision — is fixed at
+/// submit time, so it depends only on the seed and the submission order,
+/// never on flush timing or on which executor serves it.
+pub struct Request {
+    pub(crate) id: RequestId,
+    precision: Option<Precision>,
     image: Tensor,
+}
+
+/// An executed request: the response plus its per-frame cost, which the
+/// coordinator merges into the ledger in request-id order.
+pub struct Served {
+    response: Response,
+    unit_cost: BatchCost,
+}
+
+/// What runs a flush's requests. Two implementations exist — [`Inline`]
+/// (zero threads, any backend) and [`crate::Shards`] (N worker threads, each
+/// looping an `Inline`) — and the constructor the caller uses picks one.
+/// Not implementable outside this crate: `Request` and `Served` cannot be
+/// named there.
+pub trait Executor {
+    /// Executes every request in `reqs`, pushing one `Served` per request
+    /// onto `out` (any order), and returns the number of micro-batches run.
+    /// `reqs` must hold the same requests on return, images intact (any
+    /// order): the coordinator reclaims their storage.
+    fn execute(&mut self, reqs: &mut Vec<Request>, out: &mut Vec<Served>) -> usize;
+}
+
+/// The inline executor: groups requests by precision, coalesces each group
+/// into micro-batches of at most `max_batch` and runs them on the calling
+/// thread. The backend may be borrowed (`&mut B`) and need not be `Send`.
+pub struct Inline<B> {
+    pub(crate) backend: B,
+    max_batch: usize,
+    // Scratch arena backing batch-tensor assembly.
+    ws: Workspace,
+}
+
+impl<B: Backend> Inline<B> {
+    pub(crate) fn new(mut backend: B, cfg: &EngineConfig) -> Self {
+        backend.set_kernel(cfg.kernel);
+        Self {
+            backend,
+            max_batch: cfg.max_batch,
+            ws: Workspace::new(),
+        }
+    }
+
+    // tia-lint: hot-path(begin)
+    /// Executes one micro-batch, pricing each request at its per-frame cost.
+    fn run_chunk(&mut self, chunk: &[&Request], p: Option<Precision>, out: &mut Vec<Served>) {
+        // One copy per image — straight into an arena-backed batch tensor
+        // (submit pins images to rank 3, so the batch is always rank 4).
+        let s = chunk[0].image.shape();
+        let shape = [chunk.len(), s[0], s[1], s[2]];
+        let mut x = self.ws.tensor_spare(&shape);
+        for (i, r) in chunk.iter().enumerate() {
+            x.set_axis0(i, &r.image);
+        }
+        let logits = self.backend.infer_batch(&x, p);
+        self.ws.recycle_tensor(x);
+        let top1 = argmax_rows(&logits);
+        let unit_cost = self.backend.cost(1, p);
+        for (i, req) in chunk.iter().enumerate() {
+            out.push(Served {
+                response: Response {
+                    id: req.id,
+                    logits: logits.index_axis0(i),
+                    top1: top1[i],
+                    precision: p,
+                },
+                unit_cost,
+            });
+        }
+        // The batch logits have been split into per-request responses; the
+        // backing storage goes back to the backend's arena.
+        self.backend.recycle_output(logits);
+    }
+    // tia-lint: hot-path(end)
 }
 
 /// Groups requests by assigned precision — stable, first-seen order — so
 /// per-request precision switching still serves full micro-batches.
-///
-/// This is *the* grouping: the single-threaded engine and every shard of
-/// the sharded runtime must batch identically (same groups ⇒ same chunks ⇒
-/// same per-batch execution), so both call this one function. Changing the
-/// grouping in one path but not the other would silently break the sharded
-/// determinism contract.
-pub(crate) fn group_by_precision<T>(
-    items: &[T],
-    precision_of: impl Fn(&T) -> Option<Precision>,
-) -> Vec<(Option<Precision>, Vec<&T>)> {
-    let mut groups: Vec<(Option<Precision>, Vec<&T>)> = Vec::new();
-    for item in items {
-        let p = precision_of(item);
-        match groups.iter_mut().find(|(gp, _)| *gp == p) {
-            Some((_, members)) => members.push(item),
-            None => groups.push((p, vec![item])),
+fn group_by_precision(reqs: &[Request]) -> Vec<(Option<Precision>, Vec<&Request>)> {
+    let mut groups: Vec<(Option<Precision>, Vec<&Request>)> = Vec::new();
+    for req in reqs {
+        match groups.iter_mut().find(|(p, _)| *p == req.precision) {
+            Some((_, members)) => members.push(req),
+            None => groups.push((req.precision, vec![req])),
         }
     }
     groups
 }
 
-/// A micro-batching inference server over any [`Backend`].
+impl<B: Backend> Executor for Inline<B> {
+    /// The backend's caller-visible precision is restored afterwards.
+    fn execute(&mut self, reqs: &mut Vec<Request>, out: &mut Vec<Served>) -> usize {
+        let saved = self.backend.precision();
+        let mut batches = 0;
+        for (p, members) in group_by_precision(reqs) {
+            for chunk in members.chunks(self.max_batch) {
+                self.run_chunk(chunk, p, out);
+                batches += 1;
+            }
+        }
+        self.backend.set_precision(saved);
+        batches
+    }
+}
+
+/// A micro-batching inference server over an [`Executor`]; use it through
+/// its two instantiations, [`Engine`] and [`crate::ShardedEngine`].
 ///
-/// Requests are single images (`[C, H, W]`); the engine coalesces them into
-/// batches of at most `max_batch`, samples the [`PrecisionPolicy`] at the
-/// configured granularity, executes each batch through the backend, and
-/// returns per-request [`Response`]s in submission order.
-///
-/// Determinism: the layer stack is batch-size-invariant in eval mode (all
-/// quantization calibrates per sample), so engine logits are bitwise
-/// identical to per-sample `Network::forward` at every precision, and the
-/// precision schedule is a pure function of the config seed and the
+/// Requests are single images (`[C, H, W]`). Each is assigned its id and —
+/// one draw from the seeded [`PrecisionPolicy`] stream, Alg. 1's per-query
+/// random switch — its precision at submit time; a flush hands the pending
+/// requests to the executor, which coalesces equal-precision requests into
+/// batches of at most `max_batch`, and returns per-request [`Response`]s in
 /// submission order.
-pub struct Engine<B: Backend> {
-    backend: B,
+///
+/// Determinism: the same seed and the same submission sequence (including
+/// rejected, floored and pinned submissions and degrade-level changes)
+/// yield bitwise-identical logits, the identical precision schedule and the
+/// identical cost ledger — on either executor, at any worker count, however
+/// the submissions are grouped into flushes. The schedule is fixed before
+/// any executor sees a request; the layer stack is batch-size-invariant in
+/// eval mode (all quantization calibrates per sample), so how an executor
+/// batches cannot change a logit bit; and the ledger accumulates
+/// per-request unit costs in request-id order, not in completion order.
+pub struct Coordinator<X> {
+    pub(crate) exec: X,
     policy: PrecisionPolicy,
-    cfg: EngineConfig,
     rng: SeededRng,
     // Live degradation level applied to Adaptive policy draws; 0 = the
     // full set. Set by the serving layer's feedback controller.
     degrade: u8,
-    pending: Vec<Pending>,
+    pending: Vec<Request>,
+    // Flush scratch (empty between flushes; keeps its capacity).
+    served: Vec<Served>,
     next_id: RequestId,
     stats: EngineStats,
+    cycles: u64,
     // Fixed by the first submit; mixed shapes would otherwise be coalesced
     // into one batch tensor and silently misinterpreted.
     image_shape: Option<Vec<usize>>,
-    // Scratch arena backing batch-tensor assembly and submitted-image
-    // staging; request images return here after each flush.
+    // Staging arena: `serve` draws request images from it and every served
+    // image's storage returns to it after the flush.
     ws: Workspace,
 }
 
-impl<B: Backend> Engine<B> {
+/// The zero-thread engine: a [`Coordinator`] executing inline on the
+/// caller's thread. Construction spawns nothing and allocates nothing, so
+/// it is cheap enough to build per evaluation slice around a borrowed
+/// backend (`Engine::new(&mut net, …)`).
+pub type Engine<B> = Coordinator<Inline<B>>;
+
+impl<B: Backend> Coordinator<Inline<B>> {
     /// Creates an engine serving `backend` under `policy`.
-    pub fn new(mut backend: B, policy: PrecisionPolicy, cfg: EngineConfig) -> Self {
-        let rng = SeededRng::new(cfg.seed);
-        let ws = Workspace::with_max_pooled(cfg.workspace_cap);
-        backend.set_kernel(cfg.kernel);
+    pub fn new(backend: B, policy: PrecisionPolicy, cfg: EngineConfig) -> Self {
+        Self::over(Inline::new(backend, &cfg), policy, cfg.seed)
+    }
+
+    /// Borrows the backend (e.g. so an attack can craft inputs against the
+    /// exact model being served).
+    pub fn backend_mut(&mut self) -> &mut B {
+        &mut self.exec.backend
+    }
+
+    /// Unwraps into the backend.
+    pub fn into_backend(self) -> B {
+        self.exec.backend
+    }
+}
+
+impl<X: Executor> Coordinator<X> {
+    pub(crate) fn over(exec: X, policy: PrecisionPolicy, seed: u64) -> Self {
         Self {
-            backend,
+            exec,
             policy,
-            cfg,
-            rng,
+            rng: SeededRng::new(seed),
             degrade: 0,
             pending: Vec::new(),
+            served: Vec::new(),
             next_id: 0,
             stats: EngineStats::default(),
+            cycles: 0,
             image_shape: None,
-            ws,
+            ws: Workspace::new(),
         }
     }
 
@@ -313,8 +331,7 @@ impl<B: Backend> Engine<B> {
         &self.policy
     }
 
-    /// Replaces the policy (takes effect for requests not yet assigned a
-    /// precision).
+    /// Replaces the policy (takes effect for subsequent submissions).
     pub fn set_policy(&mut self, policy: PrecisionPolicy) {
         self.policy = policy;
     }
@@ -330,13 +347,13 @@ impl<B: Backend> Engine<B> {
     /// never shift the seeded stream position (every draw costs one step at
     /// any level), so the schedule stays a pure function of the seed, the
     /// submission order and the level sequence. Non-adaptive policies
-    /// ignore the level; under [`PolicyGranularity::PerBatch`] it applies
-    /// to the per-chunk draws at flush time.
+    /// ignore the level.
     pub fn set_degrade_level(&mut self, level: u8) {
         self.degrade = level.min(self.policy.max_degrade_level());
     }
 
-    /// Aggregate serving statistics.
+    /// Aggregate serving statistics (cost accumulated in request-id order,
+    /// so totals are identical on any executor).
     pub fn stats(&self) -> EngineStats {
         self.stats
     }
@@ -351,15 +368,11 @@ impl<B: Backend> Engine<B> {
         self.pending.len()
     }
 
-    /// Borrows the backend (e.g. so an attack can craft inputs against the
-    /// exact model being served).
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
-    /// Unwraps into the backend.
-    pub fn into_backend(self) -> B {
-        self.backend
+    /// Number of completed non-empty [`Engine::flush`] cycles (monotonic;
+    /// survives [`Engine::reset_stats`]). The serving layer's flight
+    /// recorder uses it to label per-cycle engine spans.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
     }
 
     /// Enqueues one `[C, H, W]` image; returns its request id.
@@ -378,8 +391,8 @@ impl<B: Backend> Engine<B> {
 
     /// Fallible [`Engine::submit`]: rejects non-image and geometry-changing
     /// tensors with a [`SubmitError`] instead of panicking. The precision
-    /// draw (under per-request granularity) happens only on acceptance, so
-    /// rejected submissions never perturb the seeded schedule.
+    /// draw happens only on acceptance, so rejected submissions never
+    /// perturb the seeded schedule.
     pub fn try_submit(&mut self, image: Tensor) -> Result<RequestId, SubmitError> {
         self.try_submit_floored(image, None)
     }
@@ -395,38 +408,52 @@ impl<B: Backend> Engine<B> {
         image: Tensor,
         floor: Option<Precision>,
     ) -> Result<RequestId, SubmitError> {
-        check_image(&mut self.image_shape, &image)?;
-        let precision = draw_precision(
-            &self.policy,
-            &mut self.rng,
-            self.cfg.granularity,
-            self.degrade,
-            floor,
-        );
+        self.check_image(&image)?;
+        let precision = self
+            .policy
+            .sample_degraded(&mut self.rng, self.degrade, floor);
         Ok(self.enqueue(image, precision))
     }
 
     /// Like [`Engine::try_submit`], but pins the request to an explicit
     /// precision (`None` = full precision) instead of drawing from the
-    /// policy. Pinned requests consume no draw from the seeded schedule.
-    ///
-    /// Only meaningful under [`PolicyGranularity::PerRequest`]; under
-    /// `PerBatch` the pin is ignored (the whole batch draws one precision at
-    /// flush time).
+    /// policy. Pinned requests consume no draw from the seeded schedule, so
+    /// a stream mixing policy and pinned submissions is still a pure
+    /// function of the seed and the submission sequence.
     pub fn try_submit_pinned(
         &mut self,
         image: Tensor,
         precision: Option<Precision>,
     ) -> Result<RequestId, SubmitError> {
-        check_image(&mut self.image_shape, &image)?;
-        let pinned = pin_precision(self.cfg.granularity, precision);
-        Ok(self.enqueue(image, pinned))
+        self.check_image(&image)?;
+        Ok(self.enqueue(image, precision))
     }
 
-    fn enqueue(&mut self, image: Tensor, precision: Option<Option<Precision>>) -> RequestId {
+    /// Pins the engine's input geometry on first use, rejects rank/shape
+    /// mismatches after.
+    fn check_image(&mut self, image: &Tensor) -> Result<(), SubmitError> {
+        if image.shape().len() != 3 {
+            return Err(SubmitError::NotAnImage {
+                rank: image.shape().len(),
+            });
+        }
+        match &self.image_shape {
+            Some(shape) if shape.as_slice() != image.shape() => Err(SubmitError::ShapeMismatch {
+                expected: shape.clone(),
+                got: image.shape().to_vec(),
+            }),
+            Some(_) => Ok(()),
+            None => {
+                self.image_shape = Some(image.shape().to_vec());
+                Ok(())
+            }
+        }
+    }
+
+    fn enqueue(&mut self, image: Tensor, precision: Option<Precision>) -> RequestId {
         let id = self.next_id;
         self.next_id += 1;
-        self.pending.push(Pending {
+        self.pending.push(Request {
             id,
             precision,
             image,
@@ -435,45 +462,33 @@ impl<B: Backend> Engine<B> {
     }
 
     /// Serves every pending request and returns responses sorted by request
-    /// id (= submission order). The backend's caller-visible precision is
-    /// restored afterwards, and the request images' storage returns to the
+    /// id (= submission order). The request images' storage returns to the
     /// engine's arena for the next burst.
+    ///
+    /// # Panics
+    ///
+    /// On [`crate::ShardedEngine`], panics if a worker thread has died (a
+    /// backend panicked mid-batch).
     pub fn flush(&mut self) -> Vec<Response> {
-        let saved = self.backend.precision();
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut responses = Vec::with_capacity(pending.len());
-        match self.cfg.granularity {
-            PolicyGranularity::PerBatch => {
-                for chunk in pending.chunks(self.cfg.max_batch) {
-                    // Per-batch draws happen at flush, so degradation (with
-                    // no per-request floor) applies here instead.
-                    let p = self
-                        .policy
-                        .sample_degraded(&mut self.rng, self.degrade, None);
-                    let refs: Vec<&Pending> = chunk.iter().collect();
-                    self.run_chunk(&refs, p, &mut responses);
-                }
-            }
-            PolicyGranularity::PerRequest => {
-                let groups = group_by_precision(&pending, |req: &Pending| {
-                    req.precision
-                        .expect("per-request precision assigned at submit")
-                });
-                for (p, members) in groups {
-                    for chunk in members.chunks(self.cfg.max_batch) {
-                        self.run_chunk(chunk, p, &mut responses);
-                    }
-                }
-            }
+        let total = self.pending.len();
+        if total == 0 {
+            return Vec::new();
         }
-        self.backend.set_precision(saved);
-        // Reclaim the served images and the queue's own capacity.
-        for req in pending.drain(..) {
+        let batches = self.exec.execute(&mut self.pending, &mut self.served);
+        for req in self.pending.drain(..) {
             self.ws.recycle_tensor(req.image);
         }
-        self.pending = pending;
-        responses.sort_by_key(|r| r.id);
-        responses
+        // Merge in submission order: response order and the ledger's
+        // floating-point accumulation order are both independent of how the
+        // executor batched and of which shard finished first.
+        self.served.sort_unstable_by_key(|s| s.response.id);
+        self.cycles += 1;
+        self.stats.requests += total;
+        self.stats.batches += batches;
+        for s in &self.served {
+            self.stats.cost.accumulate(&s.unit_cost);
+        }
+        self.served.drain(..).map(|s| s.response).collect()
     }
 
     /// Convenience: submits every row of an `[N, C, H, W]` batch and
@@ -490,168 +505,89 @@ impl<B: Backend> Engine<B> {
         }
         self.flush()
     }
-
-    // tia-lint: hot-path(begin)
-    fn run_chunk(&mut self, chunk: &[&Pending], p: Option<Precision>, out: &mut Vec<Response>) {
-        if chunk.is_empty() {
-            return;
-        }
-        // One copy per image — straight into an arena-backed batch tensor
-        // (submit pins images to rank 3, so the batch is always rank 4).
-        let s = chunk[0].image.shape();
-        let shape = [chunk.len(), s[0], s[1], s[2]];
-        let mut x = self.ws.tensor_spare(&shape);
-        for (i, r) in chunk.iter().enumerate() {
-            x.set_axis0(i, &r.image);
-        }
-        let logits = self.backend.infer_batch(&x, p);
-        self.ws.recycle_tensor(x);
-        let top1 = argmax_rows(&logits);
-        self.stats.requests += chunk.len();
-        self.stats.batches += 1;
-        let cost = self.backend.cost(chunk.len(), p);
-        self.stats.cost.accumulate(&cost);
-        for (i, req) in chunk.iter().enumerate() {
-            out.push(Response {
-                id: req.id,
-                logits: logits.index_axis0(i),
-                top1: top1[i],
-                precision: p,
-            });
-        }
-        // The batch logits have been split into per-request responses; the
-        // backing storage goes back to the backend's arena.
-        self.backend.recycle_output(logits);
-    }
-    // tia-lint: hot-path(end)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardedEngine, SimBacked};
     use tia_nn::zoo;
     use tia_quant::PrecisionSet;
 
-    fn engine_with(policy: PrecisionPolicy, cfg: EngineConfig) -> Engine<tia_nn::Network> {
-        let mut rng = SeededRng::new(1);
-        let net = zoo::preact_resnet18_rps(3, 4, 3, PrecisionSet::range(4, 8), &mut rng);
-        Engine::new(net, policy, cfg)
+    fn replica() -> tia_nn::Network {
+        zoo::preact_resnet18_rps(3, 4, 3, PrecisionSet::range(4, 8), &mut SeededRng::new(1))
     }
 
     fn images(n: usize, seed: u64) -> Tensor {
-        let mut rng = SeededRng::new(seed);
-        Tensor::rand_uniform(&[n, 3, 8, 8], 0.0, 1.0, &mut rng)
+        Tensor::rand_uniform(&[n, 3, 8, 8], 0.0, 1.0, &mut SeededRng::new(seed))
     }
 
-    #[test]
-    fn responses_come_back_in_submission_order() {
-        let mut eng = engine_with(
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default().with_max_batch(4),
-        );
-        let x = images(10, 2);
-        let ids: Vec<RequestId> = (0..10).map(|i| eng.submit(x.index_axis0(i))).collect();
-        let resp = eng.flush();
-        assert_eq!(resp.len(), 10);
-        assert_eq!(resp.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
+    fn image() -> Tensor {
+        Tensor::zeros(&[3, 8, 8])
     }
 
-    #[test]
-    fn fixed_policy_reports_its_precision() {
-        let p = Some(Precision::new(6));
-        let mut eng = engine_with(PrecisionPolicy::Fixed(p), EngineConfig::default());
-        for r in eng.serve(&images(5, 3)) {
-            assert_eq!(r.precision, p);
-        }
-        assert_eq!(eng.stats().requests, 5);
+    fn set() -> PrecisionSet {
+        PrecisionSet::range(4, 8)
     }
 
-    #[test]
-    fn same_seed_same_precision_schedule() {
-        let cfg = EngineConfig::default().with_seed(42);
-        let set = PrecisionSet::range(4, 8);
-        let x = images(16, 4);
-        let sched = |cfg: EngineConfig| {
-            let mut eng = engine_with(PrecisionPolicy::Random(set.clone()), cfg);
-            eng.serve(&x)
+    fn cfg(seed: u64) -> EngineConfig {
+        EngineConfig::default().with_max_batch(4).with_seed(seed)
+    }
+
+    fn schedule(responses: &[Response]) -> Vec<Option<Precision>> {
+        responses.iter().map(|r| r.precision).collect()
+    }
+
+    fn logit_bits(responses: &[Response]) -> Vec<u32> {
+        let bits = |r: &Response| {
+            r.logits
+                .data()
                 .iter()
-                .map(|r| r.precision)
+                .map(|v| v.to_bits())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(sched(cfg.clone()), sched(cfg));
-        let other = sched(EngineConfig::default().with_seed(43));
-        let base = sched(EngineConfig::default().with_seed(42));
-        assert_ne!(
-            base, other,
-            "different seeds should give different schedules"
-        );
+        responses.iter().flat_map(bits).collect()
     }
 
-    #[test]
-    fn per_batch_granularity_shares_precision_within_chunk() {
-        let mut eng = engine_with(
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default()
-                .with_max_batch(4)
-                .with_granularity(PolicyGranularity::PerBatch),
-        );
-        let resp = eng.serve(&images(8, 5));
-        assert_eq!(
-            resp[..4]
-                .iter()
-                .map(|r| r.precision)
-                .collect::<std::collections::HashSet<_>>()
-                .len(),
-            1
-        );
-        assert_eq!(
-            resp[4..]
-                .iter()
-                .map(|r| r.precision)
-                .collect::<std::collections::HashSet<_>>()
-                .len(),
-            1
-        );
-        assert_eq!(eng.stats().batches, 2);
+    /// The first `n` values of the seeded policy stream — the oracle every
+    /// executor's schedule is checked against.
+    fn stream(policy: &PrecisionPolicy, seed: u64, n: usize) -> Vec<Option<Precision>> {
+        let mut rng = SeededRng::new(seed);
+        (0..n).map(|_| policy.sample(&mut rng)).collect()
     }
 
-    #[test]
-    fn flush_restores_caller_visible_precision() {
-        let mut eng = engine_with(
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default(),
-        );
-        eng.backend_mut().set_precision(Some(Precision::new(8)));
-        let _ = eng.serve(&images(6, 6));
-        assert_eq!(eng.backend_mut().precision(), Some(Precision::new(8)));
-    }
+    /// The contract every executor must meet, run below over the inline
+    /// executor and 1, 2 and 5 worker shards. `make` builds an engine over
+    /// [`replica`] backends on the surface under test.
+    fn contract<X: Executor>(
+        surface: &str,
+        make: &dyn Fn(PrecisionPolicy, EngineConfig) -> Coordinator<X>,
+    ) {
+        let random = || PrecisionPolicy::Random(set());
+        let adaptive = || PrecisionPolicy::Adaptive(set());
 
-    #[test]
-    fn stats_track_batches_and_requests() {
-        let mut eng = engine_with(
-            PrecisionPolicy::Fixed(Some(Precision::new(8))),
-            EngineConfig::default().with_max_batch(3),
-        );
-        let _ = eng.serve(&images(7, 7));
-        let s = eng.stats();
-        assert_eq!(s.requests, 7);
-        assert_eq!(s.batches, 3); // 3 + 3 + 1
-        assert!((s.mean_batch() - 7.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.cost.frames, 7);
-    }
+        // Responses come back in submission order, whatever the grouping;
+        // the schedule is the seeded policy stream (so seeds matter) and the
+        // logits are the inline executor's, bit for bit.
+        let x = images(10, 2);
+        let mut eng = make(random(), cfg(11));
+        let ids: Vec<RequestId> = (0..10).map(|i| eng.submit(x.index_axis0(i))).collect();
+        assert_eq!(eng.pending(), 10);
+        let resp = eng.flush();
+        assert_eq!(eng.pending(), 0);
+        assert_eq!(resp.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
+        assert_eq!(schedule(&resp), stream(&random(), 11, 10), "{surface}");
+        assert_ne!(schedule(&resp), stream(&random(), 12, 10));
+        let want = Engine::new(replica(), random(), cfg(11)).serve(&x);
+        assert_eq!(logit_bits(&resp), logit_bits(&want), "{surface}: logits");
 
-    #[test]
-    fn try_submit_reports_errors_without_panicking() {
-        let mut eng = engine_with(
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default(),
-        );
+        // Rejected and pinned submissions consume no draw.
+        let mut eng = make(random(), cfg(3));
         assert_eq!(
             eng.try_submit(Tensor::zeros(&[1, 3, 8, 8])),
             Err(SubmitError::NotAnImage { rank: 4 })
         );
-        let id = eng.try_submit(Tensor::zeros(&[3, 8, 8])).unwrap();
-        assert_eq!(id, 0);
+        assert_eq!(eng.try_submit(image()), Ok(0));
         assert_eq!(
             eng.try_submit(Tensor::zeros(&[8, 3, 8])),
             Err(SubmitError::ShapeMismatch {
@@ -659,99 +595,118 @@ mod tests {
                 got: vec![8, 3, 8],
             })
         );
-        // Rejections consume no policy draw: a clean engine fed only the
-        // accepted submissions reproduces the same schedule.
-        let id2 = eng.try_submit(Tensor::zeros(&[3, 8, 8])).unwrap();
-        assert_eq!(id2, 1);
-        let got: Vec<_> = eng.flush().iter().map(|r| r.precision).collect();
-        let mut clean = engine_with(
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default(),
-        );
-        clean.submit(Tensor::zeros(&[3, 8, 8]));
-        clean.submit(Tensor::zeros(&[3, 8, 8]));
-        let want: Vec<_> = clean.flush().iter().map(|r| r.precision).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn pinned_submissions_skip_the_policy_stream() {
-        let mut eng = engine_with(
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default().with_seed(3),
-        );
         let pin = Some(Precision::new(5));
-        eng.try_submit_pinned(Tensor::zeros(&[3, 8, 8]), pin)
-            .unwrap();
-        eng.submit(Tensor::zeros(&[3, 8, 8]));
-        let resp = eng.flush();
-        assert_eq!(resp[0].precision, pin);
-        // The policy-driven request drew the *first* value of the stream —
-        // the pin consumed none.
-        let mut clean = engine_with(
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default().with_seed(3),
+        assert_eq!(eng.try_submit_pinned(image(), pin), Ok(1));
+        assert_eq!(eng.try_submit_pinned(image(), None), Ok(2));
+        assert_eq!(eng.try_submit(image()), Ok(3));
+        let drawn = stream(&random(), 3, 2);
+        assert_eq!(
+            schedule(&eng.flush()),
+            [drawn[0], pin, None, drawn[1]],
+            "{surface}: a rejection or a pin moved the stream"
         );
-        clean.submit(Tensor::zeros(&[3, 8, 8]));
-        assert_eq!(resp[1].precision, clean.flush()[0].precision);
-    }
 
-    #[test]
-    fn degrade_level_shifts_values_not_stream_position() {
-        let set = PrecisionSet::range(4, 8);
-        let cfg = EngineConfig::default().with_seed(9);
-        let mut deg = engine_with(PrecisionPolicy::Adaptive(set.clone()), cfg.clone());
-        // Fully degraded the window is {4} alone, so the value is pinned
-        // even though the draw still happens.
-        deg.set_degrade_level(9); // clamps to the set's max useful level
-        assert_eq!(deg.degrade_level(), 4);
-        deg.submit(Tensor::zeros(&[3, 8, 8]));
-        deg.submit(Tensor::zeros(&[3, 8, 8]));
-        deg.set_degrade_level(0);
-        deg.submit(Tensor::zeros(&[3, 8, 8]));
-        let got: Vec<_> = deg.flush().iter().map(|r| r.precision).collect();
-        assert_eq!(got[0], Some(Precision::new(4)));
-        assert_eq!(got[1], Some(Precision::new(4)));
-        // The recovered third draw sits at the same stream position as a
-        // never-degraded engine's third draw.
-        let mut clean = engine_with(PrecisionPolicy::Adaptive(set), cfg);
-        for _ in 0..3 {
-            clean.submit(Tensor::zeros(&[3, 8, 8]));
-        }
-        assert_eq!(got[2], clean.flush()[2].precision);
-    }
+        // Degrade levels shift the value a draw maps to, never the stream
+        // position; floors hold however degraded the engine is.
+        let mut eng = make(adaptive(), cfg(9));
+        eng.set_degrade_level(9); // clamps to the set's max useful level
+        assert_eq!(eng.degrade_level(), 4);
+        eng.submit(image()); // window {4}: the value is pinned, the draw still happens
+        eng.try_submit_floored(image(), Some(Precision::new(6)))
+            .unwrap(); // the floor wins over the level
+        eng.set_degrade_level(0);
+        eng.submit(image());
+        let got = schedule(&eng.flush());
+        assert_eq!(got[0], Some(Precision::new(4)), "{surface}");
+        assert!(got[1].unwrap().bits() >= 6, "{surface}: below the floor");
+        assert_eq!(got[2], stream(&adaptive(), 9, 3)[2], "{surface}");
 
-    #[test]
-    fn floored_submissions_never_serve_below_the_floor() {
-        let mut eng = engine_with(
-            PrecisionPolicy::Adaptive(PrecisionSet::range(4, 8)),
-            EngineConfig::default().with_seed(12),
+        // Stats count requests, micro-batches and frames; cycles count
+        // non-empty flushes and survive a stats reset.
+        let mut eng = make(PrecisionPolicy::Fixed(pin), cfg(6));
+        assert!(eng.flush().is_empty());
+        assert_eq!(eng.cycles(), 0, "{surface}: an empty flush is no cycle");
+        assert!(eng.serve(&images(7, 7)).iter().all(|r| r.precision == pin));
+        let s = eng.stats();
+        assert_eq!((s.requests, s.cost.frames, eng.cycles()), (7, 7, 1));
+        assert!(
+            (2..=7).contains(&s.batches),
+            "{surface}: {} batches",
+            s.batches
         );
-        eng.set_degrade_level(4); // window {4} — but the floor wins
-        for _ in 0..8 {
-            eng.try_submit_floored(Tensor::zeros(&[3, 8, 8]), Some(Precision::new(6)))
-                .unwrap();
-        }
-        for r in eng.flush() {
-            assert!(r.precision.unwrap().bits() >= 6, "served below the floor");
+        eng.reset_stats();
+        assert_eq!((eng.stats().requests, eng.cycles()), (0, 1));
+    }
+
+    #[test]
+    fn inline_executor_meets_the_contract() {
+        contract("inline", &|p, c| Engine::new(replica(), p, c));
+    }
+
+    #[test]
+    fn sharded_executor_meets_the_contract_at_1_2_and_5_workers() {
+        for workers in [1usize, 2, 5] {
+            contract(&format!("{workers} workers"), &|p, c| {
+                ShardedEngine::with_factory(workers, |_| replica(), p, c)
+            });
         }
     }
 
     #[test]
-    fn workspace_cap_reaches_the_engine_arena() {
-        let cfg = EngineConfig::default().with_workspace_cap(2);
-        assert_eq!(cfg.workspace_cap, 2);
-        let mut eng = engine_with(PrecisionPolicy::Fixed(None), cfg);
-        // Serve a burst larger than the cap: the engine recycles every
-        // request image, but the arena must stay bounded at the cap.
-        let _ = eng.serve(&images(6, 11));
-        assert!(eng.ws.pooled() <= 2);
+    fn cost_ledger_is_bitwise_equal_on_every_executor() {
+        use tia_dataflow::{EvoSearch, SearchMode};
+        let sim = || {
+            let small = EvoSearch {
+                population: 8,
+                cycles: 3,
+                mode: SearchMode::Full,
+            };
+            let accel = tia_sim::Accelerator::ours().with_search(small);
+            SimBacked::new(
+                replica(),
+                accel,
+                tia_nn::workload::NetworkSpec::resnet18_cifar(),
+            )
+        };
+        let policy = || PrecisionPolicy::Random(PrecisionSet::new(&[4, 8]));
+        let bits = |s: EngineStats| [s.cost.cycles, s.cost.energy, s.cost.fps].map(f64::to_bits);
+        let x = images(11, 5);
+        let mut inline = Engine::new(sim(), policy(), cfg(44));
+        let _ = inline.serve(&x);
+        let want = inline.stats();
+        assert!(want.cost.modeled);
+        for workers in [1usize, 2, 5] {
+            let mut eng = ShardedEngine::with_factory(workers, |_| sim(), policy(), cfg(44));
+            let _ = eng.serve(&x);
+            assert_eq!(bits(eng.stats()), bits(want), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn inline_batches_are_full_precision_groups() {
+        let mut eng = Engine::new(
+            replica(),
+            PrecisionPolicy::Fixed(Some(Precision::new(8))),
+            EngineConfig::default().with_max_batch(3),
+        );
+        let _ = eng.serve(&images(7, 7));
+        let s = eng.stats();
+        assert_eq!(s.batches, 3); // 3 + 3 + 1
+        assert!((s.mean_batch() - 7.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn flush_restores_caller_visible_precision() {
+        let mut eng = Engine::new(replica(), PrecisionPolicy::Random(set()), cfg(0));
+        eng.backend_mut().set_precision(Some(Precision::new(8)));
+        let _ = eng.serve(&images(6, 6));
+        assert_eq!(eng.backend_mut().precision(), Some(Precision::new(8)));
     }
 
     #[test]
     #[should_panic(expected = "single [C, H, W] image")]
     fn submit_rejects_batched_input() {
-        let mut eng = engine_with(PrecisionPolicy::Fixed(None), EngineConfig::default());
+        let mut eng = Engine::new(replica(), PrecisionPolicy::Fixed(None), cfg(0));
         eng.submit(Tensor::zeros(&[1, 3, 8, 8]));
     }
 
@@ -760,8 +715,8 @@ mod tests {
     fn submit_rejects_mixed_shapes() {
         // Same element count, different layout — would silently corrupt the
         // coalesced batch if accepted.
-        let mut eng = engine_with(PrecisionPolicy::Fixed(None), EngineConfig::default());
-        eng.submit(Tensor::zeros(&[3, 8, 8]));
+        let mut eng = Engine::new(replica(), PrecisionPolicy::Fixed(None), cfg(0));
+        eng.submit(image());
         eng.submit(Tensor::zeros(&[8, 3, 8]));
     }
 }

@@ -15,18 +15,23 @@
 //!   batch through [`tia_sim::Accelerator`] to report cycles/energy/FPS
 //!   alongside logits.
 //! * [`PrecisionPolicy`] — fixed or RPS precision selection (absorbing the
-//!   old `InferencePolicy` of `tia-core`), sampled per request or per batch
-//!   ([`PolicyGranularity`]).
-//! * [`Engine`] — a micro-batching request queue: submit single-image
-//!   requests, the engine coalesces them into batches of at most
-//!   `max_batch`, samples the policy, and returns responses in submission
-//!   order with seeded-deterministic precision schedules.
-//! * [`ShardedEngine`] — the multi-threaded runtime: N worker shards
-//!   (plain `std::thread`), each with its own backend replica and seeded
-//!   RNG stream, behind the same submit/flush/serve surface. Under
-//!   per-request granularity, results — logits, precision schedule and the
-//!   merged cost ledger — are identical for *any* worker count (see the
-//!   [`sharded`](crate::ShardedEngine) determinism contract).
+//!   old `InferencePolicy` of `tia-core`), sampled once per request.
+//! * [`Coordinator`] — the one micro-batching request queue: submit
+//!   single-image requests, each is assigned its id and its precision (one
+//!   draw from the seeded policy stream) *at submit time*, and a flush
+//!   coalesces equal-precision requests into batches of at most `max_batch`
+//!   and returns responses in submission order. Two [`Executor`]s sit
+//!   behind it, chosen by the constructor:
+//!   * [`Engine`] (`Engine::new(backend, …)`) runs [`Inline`] on the
+//!     caller's thread — no thread spawned, borrowed (`&mut B`) and
+//!     non-`Send` backends welcome;
+//!   * [`ShardedEngine`] (`ShardedEngine::new(replicas, …)`) runs on
+//!     [`Shards`]: N plain `std::thread` workers, each looping the inline
+//!     executor over its own backend replica.
+//!
+//!   The schedule is fixed before an executor sees a request, so logits,
+//!   precision schedule and cost ledger are identical on either executor
+//!   at *any* worker count (see the [`Coordinator`] determinism contract).
 //!
 //! Because every layer calibrates its quantizers per sample (and the tiled
 //! GEMM in `tia-tensor` accumulates in a batch-size-invariant order),
@@ -70,8 +75,9 @@ mod sim_backed;
 pub use backend::{Backend, LossKind};
 pub use cost::BatchCost;
 pub use engine::{
-    Engine, EngineConfig, EngineStats, PolicyGranularity, RequestId, Response, SubmitError,
+    Coordinator, Engine, EngineConfig, EngineStats, Executor, Inline, RequestId, Response,
+    SubmitError,
 };
 pub use policy::PrecisionPolicy;
-pub use sharded::ShardedEngine;
+pub use sharded::{ShardedEngine, Shards};
 pub use sim_backed::SimBacked;

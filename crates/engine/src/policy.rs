@@ -13,8 +13,7 @@ use tia_tensor::SeededRng;
 pub enum PrecisionPolicy {
     /// Always the same precision (`None` = full precision).
     Fixed(Option<Precision>),
-    /// RPS: a fresh uniform sample from the set per request or per batch
-    /// (see [`crate::PolicyGranularity`]).
+    /// RPS: a fresh uniform sample from the set per request.
     Random(PrecisionSet),
     /// RPS whose live range a feedback controller may narrow toward the
     /// low end under overload (graceful degradation), bounded below by

@@ -1,80 +1,36 @@
-//! The sharded, multi-threaded serving runtime.
+//! The N-thread executor behind [`ShardedEngine`]: plain `std::thread`
+//! worker shards, each owning a [`Backend`] replica and looping the
+//! [`Inline`] executor over the request lists the coordinator sends it.
 //!
-//! [`ShardedEngine`] scales the micro-batching [`crate::Engine`] across N
-//! worker *shards*: plain `std::thread` workers, each owning its own
-//! [`Backend`] replica and its own seeded RNG stream. The coordinator
-//! assigns every request a shard and (under per-request granularity) a
-//! precision at submit time, so the entire schedule is a pure function of
-//! the config seed and the submission order — thread interleaving can
-//! change *when* a shard runs, never *what* it computes.
-//!
-//! # Determinism contract
-//!
-//! Under [`PolicyGranularity::PerRequest`] (the default, the paper's RPS
-//! inference) serving is reproducible across **worker counts**: the same
-//! seed and the same submission sequence yield bitwise-identical logits,
-//! the identical precision schedule, and the identical merged cost ledger
-//! for 1, 2 or 8 workers. Three properties make this hold:
-//!
-//! 1. precisions are drawn from the coordinator's RNG at submit time, in
-//!    submission order — the same stream a single-threaded [`crate::Engine`]
-//!    with the same seed would draw;
-//! 2. the layer stack (and the tiled GEMM underneath it) is batch-size
-//!    invariant, so how a shard groups its requests into micro-batches
-//!    cannot change any logit bit;
-//! 3. the merged ledger accumulates per-request unit costs in request-id
-//!    order at flush time, not in shard completion order.
-//!
-//! Under [`PolicyGranularity::PerBatch`] each shard draws from its own
-//! seeded stream, so a run is reproducible for a *fixed* worker count
-//! (regardless of thread interleaving) but batch composition — and hence
-//! the schedule — legitimately changes with the shard count.
+//! The coordinator fixed every request's id and precision at submit time,
+//! so thread interleaving can change *when* a shard runs, never *what* it
+//! computes — see the determinism contract on [`Coordinator`].
 
-use crate::{
-    Backend, BatchCost, EngineConfig, EngineStats, PolicyGranularity, PrecisionPolicy, RequestId,
-    Response, SubmitError,
-};
+use crate::engine::{Coordinator, Executor, Inline, Request, Served};
+use crate::{Backend, EngineConfig, PrecisionPolicy};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
-use tia_quant::Precision;
-use tia_tensor::{argmax_rows, SeededRng, Tensor, Workspace};
 
-/// A request as handed to a shard: id, centrally assigned precision (under
-/// per-request granularity) and the image.
-struct ShardRequest {
-    id: RequestId,
-    /// `Some(p)` = assigned by the coordinator at submit; `None` = the shard
-    /// samples per batch from its own stream.
-    precision: Option<Option<Precision>>,
-    image: Tensor,
-}
-
-/// One completed request plus its per-frame cost, as reported by a shard.
-struct ShardResponse {
-    id: RequestId,
-    logits: Tensor,
-    top1: usize,
-    precision: Option<Precision>,
-    unit_cost: BatchCost,
-}
-
-/// A shard's answer to one flush: its responses and how many micro-batches
-/// it executed.
-struct ShardReply {
-    responses: Vec<ShardResponse>,
+/// A shard's answer to one flush: the requests it was handed (their images
+/// travel back for reuse), what it served, and how many micro-batches it ran.
+struct Reply {
+    reqs: Vec<Request>,
+    served: Vec<Served>,
     batches: usize,
 }
 
-type Job = Vec<ShardRequest>;
+/// The N-thread [`Executor`]: partitions each flush across worker shards by
+/// `request_id % workers` (deterministic round-robin) and gathers their
+/// replies.
+pub struct Shards<B> {
+    senders: Vec<Sender<Vec<Request>>>,
+    replies: Receiver<Reply>,
+    handles: Vec<JoinHandle<B>>,
+}
 
-/// A sharded, multi-threaded inference server over any [`Backend`].
-///
-/// The coordinator partitions submitted requests across worker shards by
-/// `request_id % workers` (deterministic round-robin); each shard groups its
-/// requests by precision, coalesces them into micro-batches of at most
-/// `max_batch`, executes them on its own backend replica, and reports
-/// responses plus per-frame costs back. [`ShardedEngine::flush`] merges
-/// everything in submission order.
+/// The sharded, multi-threaded engine: a [`Coordinator`] executing on N
+/// worker threads, one backend replica each, behind the same
+/// submit/flush/serve surface as [`crate::Engine`].
 ///
 /// Replicas must be *identical* (same weights, same cost model) for the
 /// determinism contract to hold — build them from the same constructor with
@@ -103,28 +59,9 @@ type Job = Vec<ShardRequest>;
 /// assert_eq!(engine.stats().requests, 12);
 /// let _replicas = engine.shutdown();
 /// ```
-pub struct ShardedEngine<B: Backend + Send + 'static> {
-    policy: PrecisionPolicy,
-    cfg: EngineConfig,
-    /// The coordinator's policy stream (per-request assignment).
-    rng: SeededRng,
-    /// Live degradation level for Adaptive policy draws (0 = full set).
-    /// Applies to coordinator submit-time draws; per-batch shard draws
-    /// ignore it (shards cannot see level changes deterministically).
-    degrade: u8,
-    pending: Vec<ShardRequest>,
-    next_id: RequestId,
-    stats: EngineStats,
-    /// Completed non-empty flush cycles; tags the flight recorder's
-    /// per-cycle engine spans.
-    cycles: u64,
-    image_shape: Option<Vec<usize>>,
-    senders: Vec<Sender<Job>>,
-    results_rx: Receiver<ShardReply>,
-    handles: Vec<JoinHandle<B>>,
-}
+pub type ShardedEngine<B> = Coordinator<Shards<B>>;
 
-impl<B: Backend + Send + 'static> ShardedEngine<B> {
+impl<B: Backend + Send + 'static> Coordinator<Shards<B>> {
     /// Spawns one worker thread per replica and returns the coordinator.
     ///
     /// # Panics
@@ -135,39 +72,21 @@ impl<B: Backend + Send + 'static> ShardedEngine<B> {
             !replicas.is_empty(),
             "ShardedEngine needs at least one replica"
         );
-        let (results_tx, results_rx) = channel();
-        let mut senders = Vec::with_capacity(replicas.len());
-        let mut handles = Vec::with_capacity(replicas.len());
-        for (shard, backend) in replicas.into_iter().enumerate() {
-            let (tx, rx) = channel::<Job>();
-            let results = results_tx.clone();
-            let worker_policy = policy.clone();
-            // Each shard gets its own decorrelated stream: golden-ratio
-            // stepping of the base seed, the same trick SplitMix64 uses.
-            let rng = SeededRng::new(
-                cfg.seed
-                    .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1)),
-            );
-            let worker_cfg = cfg.clone();
-            handles.push(std::thread::spawn(move || {
-                worker_loop(backend, worker_policy, rng, worker_cfg, rx, results)
-            }));
-            senders.push(tx);
-        }
-        Self {
-            policy,
-            rng: SeededRng::new(cfg.seed),
-            cfg,
-            degrade: 0,
-            pending: Vec::new(),
-            next_id: 0,
-            stats: EngineStats::default(),
-            cycles: 0,
-            image_shape: None,
+        let (reply_tx, replies) = channel();
+        let (senders, handles) = replicas
+            .into_iter()
+            .map(|backend| {
+                let (tx, jobs) = channel();
+                let (lane, reply_tx) = (Inline::new(backend, &cfg), reply_tx.clone());
+                (tx, std::thread::spawn(move || worker(lane, jobs, reply_tx)))
+            })
+            .unzip();
+        let shards = Shards {
             senders,
-            results_rx,
+            replies,
             handles,
-        }
+        };
+        Self::over(shards, policy, cfg.seed)
     }
 
     /// Builds `workers` replicas from a factory (called with the shard
@@ -185,199 +104,7 @@ impl<B: Backend + Send + 'static> ShardedEngine<B> {
 
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &PrecisionPolicy {
-        &self.policy
-    }
-
-    /// The live degradation level applied to [`PrecisionPolicy::Adaptive`]
-    /// draws (0 = the full set).
-    pub fn degrade_level(&self) -> u8 {
-        self.degrade
-    }
-
-    /// Sets the degradation level for subsequent coordinator draws,
-    /// clamped to the policy's [`PrecisionPolicy::max_degrade_level`].
-    /// Level changes never shift the coordinator's stream position (every
-    /// draw costs one step at any level), so the sharded determinism
-    /// contract — same seed, same submission order, same level sequence ⇒
-    /// same schedule at any worker count — is preserved.
-    pub fn set_degrade_level(&mut self, level: u8) {
-        self.degrade = level.min(self.policy.max_degrade_level());
-    }
-
-    /// Merged serving statistics across all shards (cost accumulated in
-    /// request-id order, so totals are identical for any worker count under
-    /// per-request granularity).
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Clears the merged serving statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = EngineStats::default();
-    }
-
-    /// Number of submitted-but-unserved requests.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Number of completed non-empty [`ShardedEngine::flush`] cycles
-    /// (monotonic; survives [`ShardedEngine::reset_stats`]). The serving
-    /// layer's flight recorder uses it to label per-cycle engine spans.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Enqueues one `[C, H, W]` image; returns its request id.
-    ///
-    /// Under per-request granularity the precision is drawn here, from the
-    /// coordinator's stream — the schedule is fixed at submit time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` is not 3-D, or if its shape differs from the first
-    /// submitted image (one engine serves one input geometry). Fallible
-    /// callers (network front-ends) use [`ShardedEngine::try_submit`].
-    pub fn submit(&mut self, image: Tensor) -> RequestId {
-        match self.try_submit(image) {
-            Ok(id) => id,
-            Err(e) => panic!("ShardedEngine::submit: {e}"),
-        }
-    }
-
-    /// Fallible [`ShardedEngine::submit`]: rejects non-image and
-    /// geometry-changing tensors with a [`SubmitError`] instead of
-    /// panicking. The precision draw (under per-request granularity)
-    /// happens only on acceptance, so rejected submissions never perturb
-    /// the seeded schedule.
-    pub fn try_submit(&mut self, image: Tensor) -> Result<RequestId, SubmitError> {
-        self.try_submit_floored(image, None)
-    }
-
-    /// Like [`ShardedEngine::try_submit`], but bounds the policy draw
-    /// below by a per-request precision `floor` (an SLO guarantee: the
-    /// request never serves below it, however degraded the engine is).
-    /// Only [`PrecisionPolicy::Adaptive`] honors floors; other policies
-    /// draw as usual. The floored draw costs exactly one stream step, the
-    /// same as an unfloored one.
-    pub fn try_submit_floored(
-        &mut self,
-        image: Tensor,
-        floor: Option<Precision>,
-    ) -> Result<RequestId, SubmitError> {
-        crate::engine::check_image(&mut self.image_shape, &image)?;
-        let precision = crate::engine::draw_precision(
-            &self.policy,
-            &mut self.rng,
-            self.cfg.granularity,
-            self.degrade,
-            floor,
-        );
-        Ok(self.enqueue(image, precision))
-    }
-
-    /// Like [`ShardedEngine::try_submit`], but pins the request to an
-    /// explicit precision (`None` = full precision) instead of drawing from
-    /// the policy. Pinned requests consume no draw from the seeded
-    /// schedule, so a stream mixing policy and pinned submissions is still
-    /// a pure function of the seed and the submission sequence.
-    ///
-    /// Only meaningful under [`PolicyGranularity::PerRequest`]; under
-    /// `PerBatch` the pin is ignored (each shard draws one precision per
-    /// coalesced batch at flush time).
-    pub fn try_submit_pinned(
-        &mut self,
-        image: Tensor,
-        precision: Option<Precision>,
-    ) -> Result<RequestId, SubmitError> {
-        crate::engine::check_image(&mut self.image_shape, &image)?;
-        let pinned = crate::engine::pin_precision(self.cfg.granularity, precision);
-        Ok(self.enqueue(image, pinned))
-    }
-
-    fn enqueue(&mut self, image: Tensor, precision: Option<Option<Precision>>) -> RequestId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push(ShardRequest {
-            id,
-            precision,
-            image,
-        });
-        id
-    }
-
-    /// Serves every pending request across the shards and returns responses
-    /// sorted by request id (= submission order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread has died (a backend panicked mid-batch).
-    pub fn flush(&mut self) -> Vec<Response> {
-        let pending = std::mem::take(&mut self.pending);
-        let total = pending.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.senders.len();
-        let mut per_shard: Vec<Job> = (0..workers).map(|_| Vec::new()).collect();
-        for req in pending {
-            per_shard[(req.id % workers as u64) as usize].push(req);
-        }
-        let mut outstanding = 0;
-        for (shard, job) in per_shard.into_iter().enumerate() {
-            if job.is_empty() {
-                continue;
-            }
-            self.senders[shard]
-                .send(job)
-                .expect("sharded engine worker thread died");
-            outstanding += 1;
-        }
-        let mut all: Vec<ShardResponse> = Vec::with_capacity(total);
-        for _ in 0..outstanding {
-            let reply = self
-                .results_rx
-                .recv()
-                .expect("sharded engine worker thread died");
-            self.stats.batches += reply.batches;
-            all.extend(reply.responses);
-        }
-        // Merge in submission order: response order and the ledger's
-        // floating-point accumulation order are both independent of which
-        // shard finished first.
-        all.sort_by_key(|r| r.id);
-        self.cycles += 1;
-        self.stats.requests += total;
-        for r in &all {
-            self.stats.cost.accumulate(&r.unit_cost);
-        }
-        all.into_iter()
-            .map(|r| Response {
-                id: r.id,
-                logits: r.logits,
-                top1: r.top1,
-                precision: r.precision,
-            })
-            .collect()
-    }
-
-    /// Convenience: submits every row of an `[N, C, H, W]` batch and
-    /// flushes.
-    pub fn serve(&mut self, x: &Tensor) -> Vec<Response> {
-        assert_eq!(
-            x.shape().len(),
-            4,
-            "ShardedEngine::serve expects [N, C, H, W]"
-        );
-        for i in 0..x.shape()[0] {
-            self.submit(x.index_axis0(i));
-        }
-        self.flush()
+        self.exec.senders.len()
     }
 
     /// Shuts the runtime down and returns the backend replicas (shard
@@ -387,15 +114,49 @@ impl<B: Backend + Send + 'static> ShardedEngine<B> {
     ///
     /// Panics if a worker thread panicked.
     pub fn shutdown(mut self) -> Vec<B> {
-        self.senders.clear(); // Closing the channels ends the worker loops.
-        std::mem::take(&mut self.handles)
+        self.exec.senders.clear(); // Closing the channels ends the workers.
+        std::mem::take(&mut self.exec.handles)
             .into_iter()
             .map(|h| h.join().expect("sharded engine worker panicked"))
             .collect()
     }
 }
 
-impl<B: Backend + Send + 'static> Drop for ShardedEngine<B> {
+impl<B> Executor for Shards<B> {
+    /// # Panics
+    ///
+    /// Panics if a worker thread has died (a backend panicked mid-batch).
+    fn execute(&mut self, reqs: &mut Vec<Request>, out: &mut Vec<Served>) -> usize {
+        let workers = self.senders.len();
+        let mut jobs: Vec<Vec<Request>> = (0..workers)
+            .map(|_| Vec::with_capacity(reqs.len().div_ceil(workers)))
+            .collect();
+        for req in reqs.drain(..) {
+            jobs[(req.id % workers as u64) as usize].push(req);
+        }
+        let mut outstanding = 0;
+        for (tx, job) in self.senders.iter().zip(jobs) {
+            if job.is_empty() {
+                continue;
+            }
+            tx.send(job).expect("sharded engine worker thread died");
+            outstanding += 1;
+        }
+        let mut batches = 0;
+        for _ in 0..outstanding {
+            let mut reply = self
+                .replies
+                .recv()
+                .expect("sharded engine worker thread died");
+            reqs.append(&mut reply.reqs);
+            out.append(&mut reply.served);
+            batches += reply.batches;
+        }
+        batches
+    }
+}
+
+impl<B> Drop for Shards<B> {
     fn drop(&mut self) {
         self.senders.clear();
         for h in self.handles.drain(..) {
@@ -404,94 +165,26 @@ impl<B: Backend + Send + 'static> Drop for ShardedEngine<B> {
     }
 }
 
-/// The shard body: receive request lists until the coordinator hangs up,
-/// group/batch/execute each, reply with responses + per-frame costs. Returns
-/// the backend so `shutdown` can hand the replicas back.
-fn worker_loop<B: Backend>(
-    mut backend: B,
-    policy: PrecisionPolicy,
-    mut rng: SeededRng,
-    cfg: EngineConfig,
-    jobs: Receiver<Job>,
-    results: Sender<ShardReply>,
+/// The shard body: the inline executor in a loop, until the coordinator
+/// hangs up. Returns the backend so `shutdown` can hand the replicas back.
+fn worker<B: Backend>(
+    mut lane: Inline<B>,
+    jobs: Receiver<Vec<Request>>,
+    replies: Sender<Reply>,
 ) -> B {
-    let (max_batch, granularity) = (cfg.max_batch, cfg.granularity);
-    backend.set_kernel(cfg.kernel);
-    // Each shard owns its scratch arena: batch assembly reuses the same
-    // buffers flush after flush with no cross-thread sharing.
-    let mut ws = Workspace::with_max_pooled(cfg.workspace_cap);
-    while let Ok(reqs) = jobs.recv() {
-        let saved = backend.precision();
-        let mut responses = Vec::with_capacity(reqs.len());
-        let mut batches = 0;
-        match granularity {
-            PolicyGranularity::PerBatch => {
-                for chunk in reqs.chunks(max_batch) {
-                    let p = policy.sample(&mut rng);
-                    run_chunk(&mut backend, chunk, p, &mut responses, &mut ws);
-                    batches += 1;
-                }
-            }
-            PolicyGranularity::PerRequest => {
-                // The exact grouping Engine::flush uses — sharing it is what
-                // keeps shard batching identical to single-threaded batching.
-                let groups = crate::engine::group_by_precision(&reqs, |req: &ShardRequest| {
-                    req.precision
-                        .expect("per-request precision assigned at submit")
-                });
-                for (p, members) in groups {
-                    for chunk in members.chunks(max_batch) {
-                        run_chunk(&mut backend, chunk, p, &mut responses, &mut ws);
-                        batches += 1;
-                    }
-                }
-            }
-        }
-        backend.set_precision(saved);
-        // Request images crossed the channel; reclaim their storage for the
-        // shard's next batch tensors.
-        for req in reqs {
-            ws.recycle_tensor(req.image);
-        }
-        if results.send(ShardReply { responses, batches }).is_err() {
+    while let Ok(mut reqs) = jobs.recv() {
+        let mut served = Vec::with_capacity(reqs.len());
+        let batches = lane.execute(&mut reqs, &mut served);
+        let reply = Reply {
+            reqs,
+            served,
+            batches,
+        };
+        if replies.send(reply).is_err() {
             break; // Coordinator dropped mid-flush; shut down.
         }
     }
-    backend
-}
-
-/// Executes one micro-batch on a shard's backend, pricing each request at
-/// its per-frame cost so the coordinator can merge ledgers in id order.
-fn run_chunk<B: Backend, R: std::borrow::Borrow<ShardRequest>>(
-    backend: &mut B,
-    chunk: &[R],
-    p: Option<Precision>,
-    out: &mut Vec<ShardResponse>,
-    ws: &mut Workspace,
-) {
-    if chunk.is_empty() {
-        return;
-    }
-    let s = chunk[0].borrow().image.shape();
-    let shape = [chunk.len(), s[0], s[1], s[2]];
-    let mut x = ws.tensor_spare(&shape);
-    for (i, r) in chunk.iter().enumerate() {
-        x.set_axis0(i, &r.borrow().image);
-    }
-    let logits = backend.infer_batch(&x, p);
-    ws.recycle_tensor(x);
-    let top1 = argmax_rows(&logits);
-    let unit_cost = backend.cost(1, p);
-    for (i, req) in chunk.iter().enumerate() {
-        out.push(ShardResponse {
-            id: req.borrow().id,
-            logits: logits.index_axis0(i),
-            top1: top1[i],
-            precision: p,
-            unit_cost,
-        });
-    }
-    backend.recycle_output(logits);
+    lane.backend
 }
 
 #[cfg(test)]
@@ -499,162 +192,22 @@ mod tests {
     use super::*;
     use tia_nn::zoo;
     use tia_quant::PrecisionSet;
+    use tia_tensor::SeededRng;
 
     fn replica() -> tia_nn::Network {
-        let mut rng = SeededRng::new(1);
-        zoo::preact_resnet18_rps(3, 4, 3, PrecisionSet::range(4, 8), &mut rng)
-    }
-
-    fn images(n: usize, seed: u64) -> Tensor {
-        let mut rng = SeededRng::new(seed);
-        Tensor::rand_uniform(&[n, 3, 8, 8], 0.0, 1.0, &mut rng)
-    }
-
-    fn sharded(workers: usize, seed: u64) -> ShardedEngine<tia_nn::Network> {
-        ShardedEngine::with_factory(
-            workers,
-            |_| replica(),
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default().with_max_batch(4).with_seed(seed),
-        )
-    }
-
-    #[test]
-    fn responses_come_back_in_submission_order() {
-        let mut eng = sharded(3, 7);
-        let x = images(10, 2);
-        let ids: Vec<RequestId> = (0..10).map(|i| eng.submit(x.index_axis0(i))).collect();
-        let resp = eng.flush();
-        assert_eq!(resp.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
-    }
-
-    #[test]
-    fn precision_schedule_matches_single_threaded_engine() {
-        // The coordinator draws from the same stream a single-threaded
-        // Engine with the same seed would, so the schedules coincide.
-        let x = images(12, 3);
-        let cfg = EngineConfig::default().with_max_batch(4).with_seed(11);
-        let mut single = crate::Engine::new(
-            replica(),
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            cfg.clone(),
-        );
-        let want: Vec<_> = single.serve(&x).iter().map(|r| r.precision).collect();
-        for workers in [1usize, 2, 5] {
-            let mut eng = ShardedEngine::with_factory(
-                workers,
-                |_| replica(),
-                PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-                cfg.clone(),
-            );
-            let got: Vec<_> = eng.serve(&x).iter().map(|r| r.precision).collect();
-            assert_eq!(got, want, "schedule diverged at {} workers", workers);
-        }
-    }
-
-    #[test]
-    fn degraded_schedule_matches_single_threaded_engine() {
-        // The same level/floor sequence applied to the coordinator and a
-        // single-threaded engine yields the same schedule — degradation is
-        // part of the determinism contract, not an exception to it.
-        let x = images(9, 8);
-        let cfg = EngineConfig::default().with_max_batch(4).with_seed(21);
-        let policy = || PrecisionPolicy::Adaptive(PrecisionSet::range(4, 8));
-        let floor = Some(Precision::new(6));
-        let mut single = crate::Engine::new(replica(), policy(), cfg.clone());
-        let mut want = Vec::new();
-        for i in 0..9 {
-            single.set_degrade_level((i / 3) as u8);
-            single
-                .try_submit_floored(x.index_axis0(i), if i % 2 == 0 { floor } else { None })
-                .unwrap();
-        }
-        want.extend(single.flush().iter().map(|r| r.precision));
-        for workers in [1usize, 3] {
-            let mut eng =
-                ShardedEngine::with_factory(workers, |_| replica(), policy(), cfg.clone());
-            for i in 0..9 {
-                eng.set_degrade_level((i / 3) as u8);
-                eng.try_submit_floored(x.index_axis0(i), if i % 2 == 0 { floor } else { None })
-                    .unwrap();
-            }
-            let got: Vec<_> = eng.flush().iter().map(|r| r.precision).collect();
-            assert_eq!(got, want, "degraded schedule diverged at {workers} workers");
-        }
-        for p in &want {
-            assert!(p.unwrap().bits() >= 4);
-        }
-        // Floored draws honored the floor.
-        for (i, p) in want.iter().enumerate() {
-            if i % 2 == 0 {
-                assert!(p.unwrap().bits() >= 6, "floored draw {i} below floor");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_counts_agree_bitwise() {
-        let x = images(9, 4);
-        let logits = |workers: usize| {
-            let mut eng = sharded(workers, 5);
-            eng.serve(&x)
-                .iter()
-                .flat_map(|r| {
-                    r.logits
-                        .data()
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<u32>>()
-        };
-        let one = logits(1);
-        assert_eq!(one, logits(2));
-        assert_eq!(one, logits(4));
-    }
-
-    #[test]
-    fn stats_merge_across_shards() {
-        let mut eng = sharded(4, 6);
-        assert_eq!(eng.cycles(), 0);
-        let _ = eng.flush(); // empty flush: no cycle
-        assert_eq!(eng.cycles(), 0);
-        let _ = eng.serve(&images(10, 7));
-        let s = eng.stats();
-        assert_eq!(s.requests, 10);
-        assert!(s.batches >= 1);
-        assert_eq!(s.cost.frames, 10);
-        assert_eq!(eng.cycles(), 1);
-        eng.reset_stats();
-        assert_eq!(eng.cycles(), 1, "cycles survive reset_stats");
+        zoo::preact_resnet18_rps(3, 4, 3, PrecisionSet::range(4, 8), &mut SeededRng::new(1))
     }
 
     #[test]
     fn shutdown_returns_all_replicas() {
-        let eng = sharded(3, 8);
-        let replicas = eng.shutdown();
-        assert_eq!(replicas.len(), 3);
-    }
-
-    #[test]
-    fn per_batch_granularity_is_reproducible_per_worker_count() {
-        let x = images(8, 9);
-        let run = || {
-            let mut eng = ShardedEngine::with_factory(
-                2,
-                |_| replica(),
-                PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-                EngineConfig::default()
-                    .with_max_batch(4)
-                    .with_seed(3)
-                    .with_granularity(PolicyGranularity::PerBatch),
-            );
-            eng.serve(&x)
-                .iter()
-                .map(|r| r.precision)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
+        let eng = ShardedEngine::with_factory(
+            3,
+            |_| replica(),
+            PrecisionPolicy::Fixed(None),
+            EngineConfig::default(),
+        );
+        assert_eq!(eng.workers(), 3);
+        assert_eq!(eng.shutdown().len(), 3);
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub struct ServerConfig {
     /// The one `[C, H, W]` geometry this server serves; anything else is
     /// rejected with [`RejectCode::BadShape`].
     pub input_shape: [usize; 3],
-    /// Engine tuning (micro-batch size, seed, granularity, workspace cap).
+    /// Engine tuning (micro-batch size, seed, kernel mode).
     pub engine: EngineConfig,
     /// The serving precision policy ([`WirePolicy::Server`] requests follow
     /// it on the seeded schedule).

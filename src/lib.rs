@@ -23,7 +23,7 @@
 //! | [`data`] | synthetic dataset profiles (CIFAR-10/100-, SVHN-, ImageNet-like) |
 //! | [`nn`] | layers, switchable BN, model zoo, workload shape tables |
 //! | [`quant`] | linear quantizers and precision sets |
-//! | [`engine`] | batched, policy-driven serving: `Backend`, `Engine`, `SimBacked` |
+//! | [`engine`] | batched, policy-driven serving: `Backend`, `Engine`, `ShardedEngine`, `SimBacked` |
 //! | [`serve`] | TCP serving front-end: wire protocol, admission control, metrics |
 //! | [`attack`] | FGSM, FGSM-RS, PGD, CW-∞, APGD, Bandits, E-PGD |
 //! | [`core`] | RPS training/inference, robust evaluation, transfer matrices |
@@ -76,8 +76,7 @@ pub mod prelude {
     pub use tia_data::{generate, Dataset, DatasetProfile};
     pub use tia_dataflow::{ArchConfig, Dataflow, EvoSearch, SearchMode, Workload};
     pub use tia_engine::{
-        Backend, BatchCost, Engine, EngineConfig, PolicyGranularity, PrecisionPolicy,
-        ShardedEngine, SimBacked,
+        Backend, BatchCost, Engine, EngineConfig, PrecisionPolicy, ShardedEngine, SimBacked,
     };
     pub use tia_nn::{workload::NetworkSpec, zoo, Mode, Network};
     pub use tia_quant::{Precision, PrecisionSet};

@@ -10,7 +10,10 @@
 //! 2. a full `Engine::serve` burst settles to a constant, small,
 //!    response-materialisation-only allocation count — per-request
 //!    `Response` logits must escape to the caller, but nothing else may
-//!    allocate per burst, and the count must not grow burst over burst;
+//!    allocate per burst, and the count must not grow burst over burst —
+//!    on a one-worker `ShardedEngine` too, where additionally no allocated
+//!    byte may scale with the image size (rows are staged from the arena
+//!    and served images travel back to it);
 //! 3. the flight recorder's enabled record path is allocation-free after
 //!    its ring is registered — thousands of stage events, including full
 //!    ring wrap-around, are pure atomic stores.
@@ -26,10 +29,12 @@ use two_in_one_accel::prelude::*;
 struct CountingAllocator;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -40,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that grows is an allocation for our purposes.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,6 +55,10 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocs() -> usize {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn bytes() -> usize {
+    BYTES.load(Ordering::Relaxed)
 }
 
 #[test]
@@ -121,6 +131,50 @@ fn steady_state_serving_allocations() {
         second,
         requests,
         bound
+    );
+
+    // The same burst on a one-worker ShardedEngine (every thread's
+    // allocations land on the one global counter): constant burst over
+    // burst, and nothing that scales with C*H*W — quadrupling the image
+    // leaves the bytes per burst unchanged, within the escaping logits plus
+    // the containers of the two channel hand-offs.
+    drop(engine);
+    let classes = 5;
+    let sharded_burst = |hw: usize| {
+        let x = Tensor::rand_uniform(&[requests, 3, hw, hw], 0.0, 1.0, &mut SeededRng::new(3));
+        let mut engine = ShardedEngine::new(
+            vec![net.clone()],
+            PrecisionPolicy::Fixed(Some(Precision::new(8))),
+            EngineConfig::default().with_max_batch(8).with_seed(7),
+        );
+        for _ in 0..3 {
+            let _ = engine.serve(&x);
+        }
+        let mut burst = || {
+            let before = (allocs(), bytes());
+            let responses = engine.serve(&x);
+            assert_eq!(responses.len(), requests);
+            (allocs() - before.0, bytes() - before.1)
+        };
+        let (second, third) = (burst(), burst());
+        assert_eq!(
+            second, third,
+            "steady-state sharded bursts must allocate identically ({hw}x{hw})"
+        );
+        second
+    };
+    let (small, large) = (sharded_burst(8), sharded_burst(16));
+    assert_eq!(small, large, "sharded serve allocations scale with C*H*W");
+    assert!(
+        small.0 <= 2 * requests + 24,
+        "steady-state sharded serve allocated {} times for {requests} requests",
+        small.0
+    );
+    let byte_bound = requests * (4 * classes + 512) + 1024;
+    assert!(
+        small.1 <= byte_bound && byte_bound < requests * 3 * 8 * 8 * 4,
+        "steady-state sharded serve allocated {} bytes (bound {byte_bound})",
+        small.1
     );
 
     // --- Part 3: the enabled trace record path allocates nothing. ---

@@ -329,3 +329,109 @@ fn sharded_ledger_identical_across_worker_counts() {
         assert_eq!(shard_frames, stats.cost.frames);
     }
 }
+
+/// FNV-1a (the scheme of `tests/kernel_golden.rs`) over every response's
+/// id, precision and logit bit patterns, in response order.
+fn schedule_fingerprint(responses: &[two_in_one_accel::engine::Response]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for r in responses {
+        eat(&r.id.to_le_bytes());
+        eat(&[r.precision.map_or(0, |p| p.bits())]);
+        for v in r.logits.data() {
+            eat(&v.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// A `Random` burst: one `serve`, then a submit stream split by a partial
+/// flush. (A macro, like `adaptive_burst!`, so that this file also compiles
+/// against the commit the fingerprints were taken on, where the two engines
+/// were unrelated types.)
+macro_rules! random_burst {
+    ($engine:expr, $x:expr) => {{
+        let (engine, x) = (&mut $engine, &$x);
+        let mut out = engine.serve(x);
+        for i in 0..x.shape()[0] {
+            engine.submit(x.index_axis0(i));
+            if i == 4 {
+                out.extend(engine.flush());
+            }
+        }
+        out.extend(engine.flush());
+        schedule_fingerprint(&out)
+    }};
+}
+
+/// An `Adaptive` burst through a fixed controller/SLO script: the level
+/// walks 0..=4 and back, submissions alternate floored / plain / pinned,
+/// a geometry-changing submission is rejected mid-stream, and one flush
+/// lands while degraded.
+macro_rules! adaptive_burst {
+    ($engine:expr, $x:expr) => {{
+        let (engine, x) = (&mut $engine, &$x);
+        let mut out = Vec::new();
+        for i in 0..x.shape()[0] {
+            engine.set_degrade_level([0u8, 1, 2, 3, 4, 9, 2, 0][i % 8]);
+            let img = x.index_axis0(i);
+            match i % 4 {
+                0 => engine.try_submit_floored(img, Some(Precision::new(6))),
+                1 => engine.try_submit(img),
+                2 => engine.try_submit_pinned(img, [Some(Precision::new(5)), None][i / 4 % 2]),
+                _ => engine.try_submit_floored(img, None),
+            }
+            .expect("valid image");
+            if i == 5 {
+                assert!(engine.try_submit(Tensor::zeros(&[8, 3, 8])).is_err());
+                out.extend(engine.flush());
+            }
+        }
+        out.extend(engine.flush());
+        schedule_fingerprint(&out)
+    }};
+}
+
+/// Pinned on the commit *before* `Engine` and `ShardedEngine` were folded
+/// into one coordinator, under scalar kernels. The other tests here compare
+/// the engines to each other, which a bug in the code they now share would
+/// pass; these values do not move with it. Do not regenerate casually.
+#[test]
+fn schedule_and_logits_match_the_pre_unification_fingerprints() {
+    const RANDOM: u64 = 0x810f_07b1_b7de_540e;
+    const ADAPTIVE: u64 = 0xc47a_79fe_3cbb_d250;
+    let set = PrecisionSet::range(4, 8);
+    let x = Tensor::rand_uniform(&[14, 3, 8, 8], 0.0, 1.0, &mut SeededRng::new(41));
+    let cfg = EngineConfig::default()
+        .with_max_batch(4)
+        .with_seed(97)
+        .with_kernel(KernelMode::Scalar);
+    let random = || PrecisionPolicy::Random(set.clone());
+    let adaptive = || PrecisionPolicy::Adaptive(set.clone());
+
+    let mut inline = Engine::new(rps_net(40, &set), random(), cfg.clone());
+    assert_eq!(random_burst!(inline, x), RANDOM, "inline, random");
+    let mut inline = Engine::new(rps_net(40, &set), adaptive(), cfg.clone());
+    assert_eq!(adaptive_burst!(inline, x), ADAPTIVE, "inline, adaptive");
+    for workers in [1usize, 2, 5] {
+        let mut sharded =
+            ShardedEngine::with_factory(workers, |_| rps_net(40, &set), random(), cfg.clone());
+        assert_eq!(
+            random_burst!(sharded, x),
+            RANDOM,
+            "{workers} workers, random"
+        );
+        let mut sharded =
+            ShardedEngine::with_factory(workers, |_| rps_net(40, &set), adaptive(), cfg.clone());
+        assert_eq!(
+            adaptive_burst!(sharded, x),
+            ADAPTIVE,
+            "{workers} workers, adaptive"
+        );
+    }
+}
