@@ -124,8 +124,8 @@ impl Conv2d {
 
     /// The integer memo entry for `p`: the master weights `[K, C, KH·KW]`
     /// permuted to channel-last rows `[K, KH·KW·C]` — the feature order of
-    /// [`im2col_levels_rows`] — then quantized per-row to packed `i8`/`i4`,
-    /// on first use. The permutation moves no scale, row sum or dot.
+    /// [`im2col_levels_rows`] — then quantized per-row and packed into integer
+    /// panels, on first use. The permutation moves no scale, row sum or dot.
     fn int_weight(&mut self, p: Precision) -> &QuantizedWeights {
         let k = self.geo.out_channels;
         let (c, taps) = (self.geo.in_channels, self.geo.kernel_h * self.geo.kernel_w);

@@ -94,7 +94,7 @@ impl Linear {
     }
 
     /// The integer memo entry for `p`: the master weights `[out, in]`
-    /// quantized per-row to packed `i8`/`i4` on first use.
+    /// quantized per-row and packed into integer panels on first use.
     fn int_weight(&mut self, p: Precision) -> &QuantizedWeights {
         let (out_f, in_f) = (self.out_features, self.in_features);
         let weight = &self.weight;

@@ -4,8 +4,9 @@
 //! The memo is what makes the paper's random precision switch ~free at
 //! serving time: the first forward at a precision quantizes the fp32
 //! master weights and packs them into GEMM panels (or, on the integer
-//! serving path, into packed `i8`/`i4` rows); every later forward at that
-//! precision is a linear-scan lookup over a handful of entries.
+//! serving path, into the integer tile's byte-wide panels); every later
+//! forward at that precision is a linear-scan lookup over a handful of
+//! entries.
 //! Invalidation is the owner's job: whenever `visit_params` hands out
 //! `&mut Param` the master weights may change, so owners call
 //! [`PackMemo::clear`] there.
@@ -102,12 +103,15 @@ impl PackMemo {
     }
 }
 
-/// BLIS-style crossover depth for the integer kernels: below this
-/// reduction length the per-dot fixed costs (dispatch, horizontal sum,
-/// tail) outweigh the wider integer arithmetic and the dispatched f32
-/// panels win, so shallow layers stay on the f32 path even under
-/// `native`. Sub-byte dots pay a nibble decode per weight element on
-/// top, so their crossover sits higher.
+/// Crossover depth for the integer path: layers with a shallower reduction
+/// stay on the f32 fake-quant path even under `native`, deeper ones take
+/// the integer GEMM; ≤ 4-bit precisions cross over higher. Both values were
+/// measured against the row-at-a-time integer kernels the tiled GEMM
+/// replaced and are speed choices of that time — the tile, which runs every
+/// precision at one speed, is ahead of the f32 panels well below either.
+/// They stay as they are because, while the integer grid and the fake-quant
+/// grid differ, moving a layer across the crossover changes its logits
+/// (ROADMAP item 1 makes that numerically free; re-measure then).
 const INT_CROSSOVER_K: usize = 48;
 const INT_CROSSOVER_K_SUB_BYTE: usize = 96;
 

@@ -4,9 +4,18 @@
 //! b-bit grid but keeps them in `f32`, which is what training and the
 //! attack-side gradients need. At serving time under the `native` kernel
 //! mode, quantized layers instead run *genuinely* quantized: weights are
-//! stored as packed `i8`/`i4` integers with per-row scales, activations as
-//! unsigned levels with a per-sample affine grid, and the matmul accumulates
-//! exactly in `i32` through [`tia_tensor::simd`]'s widening dot products.
+//! stored as signed integers with per-row scales, prepacked into the
+//! [`INT_NR`]-wide panels of [`tia_tensor::simd`]'s integer tile;
+//! activations are unsigned levels with a per-sample affine grid; and the
+//! matmul is a blocked GEMM that accumulates exactly in `i32`.
+//!
+//! Every precision from 2 to 8 bits shares that one byte-wide panel format
+//! and one compute kernel: a ≤ 4-bit row keeps its 4-bit grid and scale, but
+//! each weight occupies a byte lane, because a CPU without a sub-byte
+//! multiply has to widen nibbles before every multiply anyway — doing it
+//! once, when the memo is filled, takes the decode off the serving path.
+//! (`tia-sim` and `tia-accel` model true sub-byte storage; this is the
+//! software serving path's layout, not the accelerator's.)
 //!
 //! The arithmetic identity this rests on: with activations
 //! `x_j = s_a · (q_j − z)` and weight row `w_j = s_w · t_j`,
@@ -15,14 +24,15 @@
 //! Σ_j x_j · w_j  =  s_a · s_w · (Σ_j q_j t_j  −  z · Σ_j t_j)
 //! ```
 //!
-//! so one integer dot product plus a precomputed weight-row sum replaces the
-//! f32 inner loop. Integer accumulation is exact, making the result
-//! independent of summation order — the dispatched backends are bitwise
-//! identical to scalar by construction, and batched results are trivially
-//! equal to per-sample results (each output element is one dot product).
+//! so one integer sum plus a precomputed weight-row sum replaces the f32
+//! inner loop. Integer accumulation is exact, making the result independent
+//! of summation order — tiling, `K`-blocking and the dispatched backend
+//! cannot change a bit, and batched results are trivially equal to
+//! per-sample results (an output element's value does not depend on which
+//! tile computed it).
 
 use crate::Precision;
-use tia_tensor::simd::SimdOps;
+use tia_tensor::simd::{int_panel_index, int_panel_len, SimdOps, INT_KC, INT_MR, INT_NR};
 use tia_tensor::AlignedBytes;
 
 /// Affine grid of one quantized activation slice, with the zero point as
@@ -182,23 +192,27 @@ pub fn quantize_affine_levels_hwc(
 // tia-lint: hot-path(end)
 
 /// A weight matrix stored as true integers: `rows` rows of `k` symmetric
-/// b-bit values with one scale per row, packed two-per-byte when `b ≤ 4`.
+/// b-bit values with one scale per row, prepacked for the integer tile.
 ///
 /// Each row is one output feature's reduction operand, in the feature
-/// order of the activation rows it is dotted against: `[out_features,
+/// order of the activation rows it is multiplied against: `[out_features,
 /// in_features]` for linear, `[k, kh·kw·c]` (channels innermost, matching
-/// [`tia_tensor::im2col_levels_rows`]) for conv — so each output element is
-/// one contiguous dot product. Scales, row sums and every `i32` dot are
-/// invariant under a permutation of a row's features, which is why the conv
-/// layer is free to pick the order that makes its patch rows cheap to build.
+/// [`tia_tensor::im2col_levels_rows`]) for conv. Scales, row sums and every
+/// `i32` sum are invariant under a permutation of a row's features, which
+/// is why the conv layer is free to pick the order that makes its patch rows
+/// cheap to build.
+///
+/// Storage is `ceil(rows / INT_NR)` panels of [`INT_NR`] rows each, every
+/// panel laid out by [`int_panel_index`]: one byte per weight at every
+/// precision, `K` pairs interleaved across the panel's rows, zero-padded to
+/// a whole panel in `rows` and a whole pair in `k`. Packing happens here,
+/// once per memo fill, so [`gemm_quant_strided`] never rearranges a weight.
 #[derive(Debug, Clone)]
 pub struct QuantizedWeights {
     rows: usize,
     k: usize,
     bits: u8,
-    /// Bytes per stored row: `k` (`i8`) or `ceil(k/2)` (packed `i4`).
-    row_stride: usize,
-    /// All rows, concatenated; 64-byte aligned for the SIMD dot kernels.
+    /// The panels, concatenated; 64-byte aligned for the tile's loads.
     data: AlignedBytes,
     /// Per-row symmetric grid step (`0.0` for an all-zero row).
     scales: Vec<f32>,
@@ -208,8 +222,8 @@ pub struct QuantizedWeights {
 }
 
 impl QuantizedWeights {
-    /// Deepest reduction the `i32` dot products take: `2^16 · 255 · 127`
-    /// stays below `2^31`, the bound [`SimdOps::dot_u8i8`] documents.
+    /// Deepest reduction the `i32` accumulators take: `2^16 · 255 · 127`
+    /// stays below `2^31`, the bound [`SimdOps::micro_kernel_i32`] documents.
     pub const MAX_DEPTH: usize = 1 << 16;
 
     /// Quantizes a row-major `rows x k` f32 matrix to symmetric `bits`-bit
@@ -223,21 +237,20 @@ impl QuantizedWeights {
     pub fn quantize_rows(w: &[f32], rows: usize, k: usize, bits: u8) -> Self {
         assert!((2..=8).contains(&bits), "integer path covers 2..=8 bits");
         assert_eq!(w.len(), rows * k, "quantize_rows shape mismatch");
-        // Every integer operand is built here, so this is where the dot
-        // kernels' "no i32 overflow" precondition is enforced.
+        // Every integer operand is built here, so this is where the tile's
+        // "no i32 overflow" precondition is enforced.
         assert!(
             k <= Self::MAX_DEPTH,
             "reduction depth {k} could overflow the i32 dot accumulator"
         );
-        let sub_byte = bits <= 4;
-        let row_stride = if sub_byte { k.div_ceil(2) } else { k };
         let qmax = ((1i32 << (bits - 1)) - 1) as f32;
-        let mut data = AlignedBytes::zeroed(rows * row_stride);
+        let panel_len = int_panel_len(k);
+        let mut data = AlignedBytes::zeroed(rows.div_ceil(INT_NR) * panel_len);
         let mut scales = Vec::with_capacity(rows);
         let mut row_sums = Vec::with_capacity(rows);
         for r in 0..rows {
             let src = &w[r * k..(r + 1) * k];
-            let drow = &mut data[r * row_stride..(r + 1) * row_stride];
+            let panel = &mut data[r / INT_NR * panel_len..][..panel_len];
             let amax = src.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
             if amax == 0.0 {
                 scales.push(0.0);
@@ -246,21 +259,10 @@ impl QuantizedWeights {
             }
             let s = amax / qmax;
             let mut sum = 0i32;
-            for (j, &v) in src.iter().enumerate() {
+            for (p, &v) in src.iter().enumerate() {
                 let t = (v / s).round().clamp(-qmax, qmax) as i32;
                 sum += t;
-                if sub_byte {
-                    // Element 2i in the low nibble of byte i, 2i+1 in the
-                    // high nibble (the layout `SimdOps::dot_u4i4` decodes).
-                    let nib = (t & 0x0F) as u8;
-                    if j % 2 == 0 {
-                        drow[j / 2] |= nib;
-                    } else {
-                        drow[j / 2] |= nib << 4;
-                    }
-                } else {
-                    drow[j] = (t & 0xFF) as u8;
-                }
+                panel[int_panel_index(p, r % INT_NR)] = t as i8 as u8;
             }
             scales.push(s);
             row_sums.push(sum);
@@ -269,7 +271,6 @@ impl QuantizedWeights {
             rows,
             k,
             bits,
-            row_stride,
             data,
             scales,
             row_sums,
@@ -281,7 +282,7 @@ impl QuantizedWeights {
         self.rows
     }
 
-    /// Dot-product depth (input features).
+    /// Reduction depth (input features).
     pub fn k(&self) -> usize {
         self.k
     }
@@ -291,7 +292,8 @@ impl QuantizedWeights {
         self.bits
     }
 
-    /// Bytes of packed integer storage (capacity planning / tests).
+    /// Bytes of panel storage (capacity planning / tests):
+    /// `ceil(rows / INT_NR) · INT_NR · ceil(k / 2) · 2` at every precision.
     pub fn packed_len(&self) -> usize {
         self.data.len()
     }
@@ -303,17 +305,9 @@ impl QuantizedWeights {
 
     /// Dequantizes row `r` element `j` (test/debug helper).
     pub fn dequant_at(&self, r: usize, j: usize) -> f32 {
-        let row = &self.data[r * self.row_stride..(r + 1) * self.row_stride];
-        let t = if self.bits <= 4 {
-            let nib = if j.is_multiple_of(2) {
-                row[j / 2] & 0x0F
-            } else {
-                row[j / 2] >> 4
-            };
-            (nib ^ 8) as i32 - 8
-        } else {
-            (row[j] as i8) as i32
-        };
+        assert!(r < self.rows && j < self.k, "dequant_at out of range");
+        let panel = &self.data[r / INT_NR * int_panel_len(self.k)..];
+        let t = panel[int_panel_index(j, r % INT_NR)] as i8;
         self.scales[r] * t as f32
     }
 }
@@ -356,7 +350,8 @@ impl OutStrides {
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) on shape mismatches.
+/// Panics on shape mismatches (see [`gemm_quant_strided`]), or if `out` is
+/// not exactly `m · rows` long.
 #[allow(clippy::too_many_arguments)] // a GEMM signature is its operand list
 pub fn gemm_quant(
     ops: &dyn SimdOps,
@@ -369,15 +364,16 @@ pub fn gemm_quant(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
-    debug_assert_eq!(out.len(), m * w.rows);
-    let rows_per_group = m / a_scales.len().max(1);
+    assert_eq!(out.len(), m * w.rows, "gemm_quant: out is not [m, rows]");
+    // An empty grid list is the driver's to refuse; any stride will do.
+    let rows_per_group = m.checked_div(a_scales.len()).unwrap_or(0);
     let strides = OutStrides::row_major(rows_per_group, w.rows);
     gemm_quant_strided(ops, m, k, a_levels, a_scales, a_zps, w, bias, out, strides);
 }
 
 /// The one integer GEMM driver: `out[i][j] = s_a(i) · s_w(j) · (acc − z·Σt)
 /// (+ bias[j])` over `m` activation rows of `k` levels against the `n = rows`
-/// quantized weight rows, each dequantized dot stored where `strides` says.
+/// quantized weight rows, each dequantized sum stored where `strides` says.
 ///
 /// `a_scales`/`a_zps` hold one affine grid per *group* of consecutive
 /// activation rows (`m` must be a multiple of their length): linear layers
@@ -386,10 +382,21 @@ pub fn gemm_quant(
 /// writes NCHW directly. The dequantization expression lives here and only
 /// here, so every layer and every backend agrees on it bit for bit.
 ///
+/// Blocking: for each block of [`INT_MR`] activation rows, one
+/// [`INT_KC`]-deep slice of their levels is widened to `i16` into a stack
+/// array, and each weight panel meets it in one
+/// [`SimdOps::micro_kernel_i32`] call that leaves an `INT_MR × INT_NR` tile
+/// of exact `i32` sums; the epilogue then dequantizes and stores the tile's
+/// valid part. Edge tiles (`m % INT_MR`, `rows % INT_NR`) run the same
+/// kernel over stale rows and zero-padded columns and the same epilogue
+/// over fewer elements.
+///
 /// # Panics
 ///
-/// Panics (in debug builds) on shape mismatches, and on any build if `out`
-/// is too short for `strides`.
+/// Panics unless `k == w.k()`, `a_levels.len() == m · k`, `a_scales` and
+/// `a_zps` have one entry per group with `m` a multiple of the group count,
+/// `bias` (if any) has one entry per weight row, and every index `strides`
+/// can produce is inside `out`.
 // tia-lint: hot-path(begin)
 #[allow(clippy::too_many_arguments)] // a GEMM signature is its operand list
 pub fn gemm_quant_strided(
@@ -405,54 +412,77 @@ pub fn gemm_quant_strided(
     strides: OutStrides,
 ) {
     let n = w.rows;
-    debug_assert_eq!(k, w.k, "depth mismatch");
-    debug_assert_eq!(a_levels.len(), m * k);
-    debug_assert_eq!(a_scales.len(), a_zps.len());
-    debug_assert!(
-        m == 0 || m.is_multiple_of(a_scales.len()),
-        "rows must group evenly"
+    let groups = a_scales.len();
+    assert_eq!(k, w.k, "gemm_quant: depth mismatch");
+    assert_eq!(a_levels.len(), m * k, "gemm_quant: a_levels is not [m, k]");
+    assert_eq!(groups, a_zps.len(), "gemm_quant: one zero point per scale");
+    assert!(
+        m == 0 || (groups > 0 && m.is_multiple_of(groups)),
+        "gemm_quant: {m} rows do not group evenly under {groups} grids"
+    );
+    assert!(
+        bias.is_none_or(|b| b.len() == n),
+        "gemm_quant: one bias per weight row"
     );
     if m == 0 || n == 0 {
         return;
     }
-    let rows_per_group = m / a_scales.len();
-    let sub_byte = w.bits <= 4;
-    let wrow = |j: usize| &w.data[j * w.row_stride..(j + 1) * w.row_stride];
-    for i in 0..m {
-        let (g, r) = (i / rows_per_group, i % rows_per_group);
-        let (s_a, z) = (a_scales[g], a_zps[g] as i64);
-        let arow = &a_levels[i * k..(i + 1) * k];
-        let base = g * strides.group + r * strides.row;
-        // The dequantization expression — defined once, used everywhere.
-        let deq = |acc: i32, j: usize| {
-            let v = (s_a * w.scales[j]) * ((acc as i64 - z * w.row_sums[j] as i64) as f32);
-            match bias {
-                Some(b) => v + b[j],
-                None => v,
-            }
-        };
-        // Quad-row inner loop: one activation widening per four weight
-        // rows. Exact i32 sums make the grouping bitwise-irrelevant.
-        let mut j = 0;
-        while j + 4 <= n {
-            let q = if sub_byte {
-                ops.dot_u4i4_x4(k, arow, wrow(j), wrow(j + 1), wrow(j + 2), wrow(j + 3))
-            } else {
-                ops.dot_u8i8_x4(arow, wrow(j), wrow(j + 1), wrow(j + 2), wrow(j + 3))
-            };
-            for (l, acc) in q.into_iter().enumerate() {
-                out[base + (j + l) * strides.col] = deq(acc, j + l);
-            }
-            j += 4;
+    let rows_per_group = m / groups;
+    let last = (groups - 1) * strides.group + (rows_per_group - 1) * strides.row;
+    assert!(
+        last + (n - 1) * strides.col < out.len(),
+        "gemm_quant: out is too short for its strides"
+    );
+    let panel_len = int_panel_len(k);
+    // Rows past a short last block keep the previous block's levels: their
+    // sums are computed and never stored.
+    let mut wide = [[0i16; INT_KC]; INT_MR];
+    for i0 in (0..m).step_by(INT_MR) {
+        let mr = INT_MR.min(m - i0);
+        // Each row's grid and the offset of its first output.
+        let mut row_params = [(0.0f32, 0i64, 0usize); INT_MR];
+        for (i, params) in row_params.iter_mut().enumerate().take(mr) {
+            let (g, r) = ((i0 + i) / rows_per_group, (i0 + i) % rows_per_group);
+            *params = (
+                a_scales[g],
+                a_zps[g] as i64,
+                g * strides.group + r * strides.row,
+            );
         }
-        while j < n {
-            let acc = if sub_byte {
-                ops.dot_u4i4(k, arow, wrow(j))
-            } else {
-                ops.dot_u8i8(arow, wrow(j))
-            };
-            out[base + j * strides.col] = deq(acc, j);
-            j += 1;
+        for (panel, j0) in w.data.chunks_exact(panel_len).zip((0..n).step_by(INT_NR)) {
+            let mut acc = [[0i32; INT_NR]; INT_MR];
+            for k0 in (0..k).step_by(INT_KC) {
+                let kc = INT_KC.min(k - k0);
+                // A depth of one block is widened once per row block. A
+                // deeper one is widened again for every panel, which adds
+                // about an eighth to the tile it feeds (measured at k =
+                // 1152 under a 1024-deep block).
+                if j0 == 0 || k > INT_KC {
+                    for (i, row) in wide.iter_mut().enumerate().take(mr) {
+                        let levels = &a_levels[(i0 + i) * k + k0..][..kc];
+                        for (d, &level) in row.iter_mut().zip(levels) {
+                            *d = level as i16;
+                        }
+                    }
+                }
+                ops.micro_kernel_i32(kc, &wide, &panel[k0 * INT_NR..], &mut acc);
+            }
+            // Columns outermost: under plane strides a column's `mr` sums
+            // are neighbours in memory, so each output line is visited once
+            // per tile instead of once per row.
+            for (j, jt) in (j0..n).zip(0..INT_NR) {
+                let (s_w, t_sum) = (w.scales[j], w.row_sums[j] as i64);
+                for i in 0..mr {
+                    let (s_a, z, base) = row_params[i];
+                    // The dequantization expression — defined once, used
+                    // everywhere.
+                    let v = (s_a * s_w) * ((acc[i][jt] as i64 - z * t_sum) as f32);
+                    out[base + j * strides.col] = match bias {
+                        Some(b) => v + b[j],
+                        None => v,
+                    };
+                }
+            }
         }
     }
 }
@@ -600,16 +630,110 @@ mod tests {
     }
 
     #[test]
-    fn deepest_allowed_dot_stays_inside_i32() {
+    fn deepest_allowed_sum_stays_inside_i32() {
         // Worst case at MAX_DEPTH: every level 255 against every weight at
-        // the i8 extreme the symmetric grid can produce (±127).
+        // the i8 extreme the symmetric grid can produce (±127), through
+        // every K block of the driver.
         let k = QuantizedWeights::MAX_DEPTH;
         let q = QuantizedWeights::quantize_rows(&vec![-1.0; k], 1, k, 8);
         let a = vec![255u8; k];
+        let want = q.scales()[0] * ((-255 * 127 * k as i64) as f32);
         for mode in [KernelMode::Scalar, KernelMode::Native] {
-            let acc = simd::backend(mode).dot_u8i8(&a, &q.data[..k]);
-            assert_eq!(acc as i64, -255 * 127 * k as i64);
+            let mut out = [0.0f32];
+            gemm_quant(
+                simd::backend(mode),
+                1,
+                k,
+                &a,
+                &[1.0],
+                &[0],
+                &q,
+                None,
+                &mut out,
+            );
+            assert_eq!(out[0].to_bits(), want.to_bits(), "{mode}");
         }
+    }
+
+    /// A valid `m = 4, k = 3, n = 2` call with one operand swapped out.
+    fn call_with(
+        k: usize,
+        levels: usize,
+        scales: &[f32],
+        zps: &[i32],
+        bias: Option<&[f32]>,
+        out: usize,
+    ) {
+        let q = QuantizedWeights::quantize_rows(&[0.5; 6], 2, 3, 8);
+        gemm_quant_strided(
+            simd::backend(KernelMode::Native),
+            4,
+            k,
+            &vec![1u8; levels],
+            scales,
+            zps,
+            &q,
+            bias,
+            &mut vec![0.0f32; out],
+            OutStrides::planes(4 / scales.len().max(1), 2),
+        );
+    }
+
+    #[test]
+    fn call_with_matching_operands_passes() {
+        call_with(3, 12, &[1.0, 1.0], &[0, 0], Some(&[0.0; 2]), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth mismatch")]
+    fn driver_refuses_a_depth_the_weights_do_not_have() {
+        call_with(4, 16, &[1.0], &[0], None, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "a_levels is not [m, k]")]
+    fn driver_refuses_short_levels() {
+        call_with(3, 11, &[1.0], &[0], None, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "one zero point per scale")]
+    fn driver_refuses_unpaired_grids() {
+        call_with(3, 12, &[1.0, 1.0], &[0], None, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not group evenly")]
+    fn driver_refuses_rows_that_do_not_group_evenly() {
+        call_with(3, 12, &[1.0; 3], &[0; 3], None, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not group evenly")]
+    fn rows_without_a_grid_are_a_shape_error_not_a_division_by_zero() {
+        let q = QuantizedWeights::quantize_rows(&[0.5; 6], 2, 3, 8);
+        let ops = simd::backend(KernelMode::Native);
+        gemm_quant(ops, 4, 3, &[1u8; 12], &[], &[], &q, None, &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one bias per weight row")]
+    fn driver_refuses_a_bias_of_the_wrong_length() {
+        call_with(3, 12, &[1.0], &[0], Some(&[0.0; 3]), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "too short for its strides")]
+    fn driver_refuses_an_output_its_strides_overrun() {
+        call_with(3, 12, &[1.0], &[0], None, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "out is not [m, rows]")]
+    fn row_major_wrapper_refuses_a_mis_sized_output() {
+        let q = QuantizedWeights::quantize_rows(&[0.5; 6], 2, 3, 8);
+        let ops = simd::backend(KernelMode::Native);
+        gemm_quant(ops, 4, 3, &[1u8; 12], &[1.0], &[0], &q, None, &mut [0.0; 9]);
     }
 
     #[test]
@@ -620,8 +744,13 @@ mod tests {
         for bits in [2u8, 3, 4, 7, 8] {
             let q = QuantizedWeights::quantize_rows(&w, rows, k, bits);
             assert_eq!((q.rows(), q.k(), q.bits()), (rows, k, bits));
-            let expect_stride = if bits <= 4 { k.div_ceil(2) } else { k };
-            assert_eq!(q.packed_len(), rows * expect_stride);
+            // One byte per weight at every precision; 6 rows fill one
+            // 16-row panel, 33 deep plus the pair's padding.
+            assert_eq!(
+                q.packed_len(),
+                rows.div_ceil(INT_NR) * INT_NR * k.div_ceil(2) * 2
+            );
+            assert_eq!(q.packed_len(), 16 * 34);
             for r in 0..rows {
                 let s = q.scales()[r];
                 assert!(s > 0.0);

@@ -10,17 +10,18 @@
 //!   (fused rounding would diverge from the reference).
 //! * `bn_row` replays the scalar expression's operation order per lane:
 //!   bitwise tier. `pack_row_f32` is a copy: bitwise trivially.
-//! * `dot_u8i8` / `dot_u4i4` widen to `i16` pairs (`vpmovzxbw`/`vpmovsxbw`)
-//!   and accumulate via `vpmaddwd` into `i32` lanes — exact integer
-//!   arithmetic, so any summation order gives the same value: bitwise
-//!   tier. (`vpmaddubsw` is avoided: it saturates at `255·127·2`.)
+//! * `micro_kernel_i32` sign-extends each panel step to `i16` pairs
+//!   (`vpmovsxbw`) and accumulates via `vpmaddwd` + `vpaddd` into `i32`
+//!   lanes — exact integer arithmetic, so any summation order gives the
+//!   same value: bitwise tier. (`vpmaddubsw` is avoided: it saturates at
+//!   `255·127·2`.)
 //! * `exp_sub_sum` uses a Cephes-style polynomial `exp` and a reassociated
 //!   lane sum: tolerance tier, ULP-bounded against scalar by the
 //!   differential suite.
 
 #![allow(unsafe_code)]
 
-use super::{SimdOps, MR, NR};
+use super::{int_panel_len, SimdOps, INT_KC, INT_MR, INT_NR, MR, NR};
 use std::arch::x86_64::*;
 
 /// The AVX2 implementation. Only constructed by `super::detect` after a
@@ -70,178 +71,45 @@ unsafe fn pack_row(src: &[f32], dst: &mut [f32]) {
     }
 }
 
-// safety: same AVX2-availability contract as `micro_kernel`.
-#[target_feature(enable = "avx2")]
-unsafe fn hsum_epi32(v: __m256i) -> i32 {
-    let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-    let s = _mm_add_epi32(s, _mm_srli_si128(s, 8));
-    let s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-    _mm_cvtsi128_si32(s)
-}
-
-// safety: same AVX2-availability contract as `micro_kernel`.
-#[target_feature(enable = "avx2")]
-unsafe fn dot_u8i8(a: &[u8], w: &[u8]) -> i32 {
-    debug_assert_eq!(a.len(), w.len());
-    let k = a.len();
-    let (ap, wp) = (a.as_ptr(), w.as_ptr());
-    let mut acc = _mm256_setzero_si256();
-    let mut p = 0;
-    while p + 16 <= k {
-        let av = _mm_loadu_si128(ap.add(p).cast());
-        let wv = _mm_loadu_si128(wp.add(p).cast());
-        let a16 = _mm256_cvtepu8_epi16(av);
-        let w16 = _mm256_cvtepi8_epi16(wv);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a16, w16));
-        p += 16;
-    }
-    let mut sum = hsum_epi32(acc);
-    while p < k {
-        sum += *ap.add(p) as i32 * (*wp.add(p) as i8) as i32;
-        p += 1;
-    }
-    sum
-}
-
-// safety: same AVX2-availability contract as `micro_kernel`.
-#[target_feature(enable = "avx2")]
-unsafe fn dot_u8i8_x4(a: &[u8], w0: &[u8], w1: &[u8], w2: &[u8], w3: &[u8]) -> [i32; 4] {
-    let k = a.len();
-    debug_assert!(w0.len() == k && w1.len() == k && w2.len() == k && w3.len() == k);
-    let ap = a.as_ptr();
-    let wp = [w0.as_ptr(), w1.as_ptr(), w2.as_ptr(), w3.as_ptr()];
-    let mut acc = [_mm256_setzero_si256(); 4];
-    let mut p = 0;
-    while p + 16 <= k {
-        // One activation widening feeds all four weight rows: 5 shuffle-port
-        // ops per 64 MACs instead of the single dot's 8.
-        let a16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(ap.add(p).cast()));
-        for l in 0..4 {
-            let w16 = _mm256_cvtepi8_epi16(_mm_loadu_si128(wp[l].add(p).cast()));
-            acc[l] = _mm256_add_epi32(acc[l], _mm256_madd_epi16(a16, w16));
-        }
-        p += 16;
-    }
-    let mut sums = [
-        hsum_epi32(acc[0]),
-        hsum_epi32(acc[1]),
-        hsum_epi32(acc[2]),
-        hsum_epi32(acc[3]),
-    ];
-    while p < k {
-        let av = *ap.add(p) as i32;
-        for l in 0..4 {
-            sums[l] += av * (*wp[l].add(p) as i8) as i32;
-        }
-        p += 1;
-    }
-    sums
-}
-
-// The sub-byte dots exploit exactness: an `i32` sum is order-independent,
-// so instead of decoding nibbles back into element order (two interleave
-// shuffles per 32 elements), they split the dot into an even-element and
-// an odd-element half. `and 0x00FF` / `srli 8` deinterleave the
-// activations with no shuffle at all, and a packed weight byte's lo/hi
-// nibbles *are* the matching even/odd elements by layout.
+// The integer tile: `INT_MR × INT_NR` `i32` accumulators held in eight
+// 256-bit registers across the whole `K` loop. One step consumes one `K`
+// pair: the panel's 32 bytes (16 columns × 2 depths) are sign-extended once
+// into two vectors of `i16` pairs, and each activation row contributes one
+// `vpbroadcastd` of its pre-widened level pair plus a `vpmaddwd` + `vpaddd`
+// per vector — 128 MACs for 2 shuffle-port ops. An 8×8 tile would need 9
+// loads per 8 `vpmaddwd` and is load-bound.
 //
-// safety: same AVX2-availability contract as `micro_kernel`.
+// safety: same AVX2-availability contract as `micro_kernel`; the caller
+// additionally guarantees `kc <= INT_KC` and `w.len() >= int_panel_len(kc)`,
+// which bound every pointer offset below.
 #[target_feature(enable = "avx2")]
-unsafe fn dot_u4i4(k: usize, a: &[u8], w_packed: &[u8]) -> i32 {
-    debug_assert!(a.len() >= k && w_packed.len() >= k.div_ceil(2));
-    let (ap, wp) = (a.as_ptr(), w_packed.as_ptr());
-    let byte_mask = _mm256_set1_epi16(0x00FF);
-    let nib_mask = _mm256_set1_epi16(0x000F);
-    let sign = _mm256_set1_epi16(8);
-    let mut acc = _mm256_setzero_si256();
-    let mut p = 0;
-    // 16 packed bytes = 32 weight nibbles per step.
-    while p + 32 <= k {
-        let av = _mm256_loadu_si256(ap.add(p).cast());
-        let a_even = _mm256_and_si256(av, byte_mask); // lanes a[p+2j]
-        let a_odd = _mm256_srli_epi16(av, 8); // lanes a[p+2j+1]
-                                              // Lane j of the widened packed bytes holds elements p+2j (lo
-                                              // nibble) and p+2j+1 (hi); sign-decode is (n ^ 8) - 8 per lane.
-        let wv = _mm256_cvtepu8_epi16(_mm_loadu_si128(wp.add(p / 2).cast()));
-        let w_even = _mm256_sub_epi16(_mm256_xor_si256(_mm256_and_si256(wv, nib_mask), sign), sign);
-        let w_odd = _mm256_sub_epi16(_mm256_xor_si256(_mm256_srli_epi16(wv, 4), sign), sign);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_even, w_even));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_odd, w_odd));
-        p += 32;
+unsafe fn micro_kernel_i32(
+    kc: usize,
+    a: &[[i16; INT_KC]; INT_MR],
+    w: &[u8],
+    acc: &mut [[i32; INT_NR]; INT_MR],
+) {
+    let mut c = [[_mm256_setzero_si256(); 2]; INT_MR];
+    for (ci, row) in c.iter_mut().zip(acc.iter()) {
+        ci[0] = _mm256_loadu_si256(row.as_ptr().cast());
+        ci[1] = _mm256_loadu_si256(row.as_ptr().add(8).cast());
     }
-    // 8 packed bytes = 16 nibbles, same split at 128-bit width.
-    if p + 16 <= k {
-        let av = _mm_loadu_si128(ap.add(p).cast());
-        let a_even = _mm_and_si128(av, _mm256_castsi256_si128(byte_mask));
-        let a_odd = _mm_srli_epi16(av, 8);
-        let wv = _mm_cvtepu8_epi16(_mm_loadl_epi64(wp.add(p / 2).cast()));
-        let nib128 = _mm256_castsi256_si128(nib_mask);
-        let sign128 = _mm256_castsi256_si128(sign);
-        let w_even = _mm_sub_epi16(_mm_xor_si128(_mm_and_si128(wv, nib128), sign128), sign128);
-        let w_odd = _mm_sub_epi16(_mm_xor_si128(_mm_srli_epi16(wv, 4), sign128), sign128);
-        let lo = _mm_add_epi32(_mm_madd_epi16(a_even, w_even), _mm_madd_epi16(a_odd, w_odd));
-        acc = _mm256_add_epi32(acc, _mm256_castsi128_si256(lo));
-        p += 16;
-    }
-    let mut sum = hsum_epi32(acc);
-    while p < k {
-        let byte = *wp.add(p / 2);
-        let nib = if p % 2 == 0 { byte & 0x0F } else { byte >> 4 };
-        sum += *ap.add(p) as i32 * ((nib ^ 8) as i32 - 8);
-        p += 1;
-    }
-    sum
-}
-
-// safety: same AVX2-availability contract as `micro_kernel`.
-#[target_feature(enable = "avx2")]
-unsafe fn dot_u4i4_x4(k: usize, a: &[u8], w0: &[u8], w1: &[u8], w2: &[u8], w3: &[u8]) -> [i32; 4] {
-    let packed_len = k.div_ceil(2);
-    debug_assert!(
-        a.len() >= k
-            && w0.len() >= packed_len
-            && w1.len() >= packed_len
-            && w2.len() >= packed_len
-            && w3.len() >= packed_len
-    );
-    let ap = a.as_ptr();
-    let wp = [w0.as_ptr(), w1.as_ptr(), w2.as_ptr(), w3.as_ptr()];
-    let byte_mask = _mm256_set1_epi16(0x00FF);
-    let nib_mask = _mm256_set1_epi16(0x000F);
-    let sign = _mm256_set1_epi16(8);
-    let mut acc = [_mm256_setzero_si256(); 4];
-    let mut p = 0;
-    while p + 32 <= k {
-        // One activation deinterleave feeds all four weight rows.
-        let av = _mm256_loadu_si256(ap.add(p).cast());
-        let a_even = _mm256_and_si256(av, byte_mask);
-        let a_odd = _mm256_srli_epi16(av, 8);
-        for l in 0..4 {
-            let wv = _mm256_cvtepu8_epi16(_mm_loadu_si128(wp[l].add(p / 2).cast()));
-            let w_even =
-                _mm256_sub_epi16(_mm256_xor_si256(_mm256_and_si256(wv, nib_mask), sign), sign);
-            let w_odd = _mm256_sub_epi16(_mm256_xor_si256(_mm256_srli_epi16(wv, 4), sign), sign);
-            acc[l] = _mm256_add_epi32(acc[l], _mm256_madd_epi16(a_even, w_even));
-            acc[l] = _mm256_add_epi32(acc[l], _mm256_madd_epi16(a_odd, w_odd));
+    let wp = w.as_ptr();
+    // An odd depth rounds up to a whole pair: INT_KC is even, so the extra
+    // level is inside the row, and the panel's extra weight is zero padding.
+    for p in 0..kc.div_ceil(2) {
+        let w0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(wp.add(p * 2 * INT_NR).cast()));
+        let w1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(wp.add(p * 2 * INT_NR + 16).cast()));
+        for (ci, row) in c.iter_mut().zip(a) {
+            let pair = _mm256_set1_epi32(row.as_ptr().add(2 * p).cast::<i32>().read_unaligned());
+            ci[0] = _mm256_add_epi32(ci[0], _mm256_madd_epi16(pair, w0));
+            ci[1] = _mm256_add_epi32(ci[1], _mm256_madd_epi16(pair, w1));
         }
-        p += 32;
     }
-    let mut sums = [
-        hsum_epi32(acc[0]),
-        hsum_epi32(acc[1]),
-        hsum_epi32(acc[2]),
-        hsum_epi32(acc[3]),
-    ];
-    while p < k {
-        let av = *ap.add(p) as i32;
-        for l in 0..4 {
-            let byte = *wp[l].add(p / 2);
-            let nib = if p % 2 == 0 { byte & 0x0F } else { byte >> 4 };
-            sums[l] += av * ((nib ^ 8) as i32 - 8);
-        }
-        p += 1;
+    for (ci, row) in c.iter().zip(acc.iter_mut()) {
+        _mm256_storeu_si256(row.as_mut_ptr().cast(), ci[0]);
+        _mm256_storeu_si256(row.as_mut_ptr().add(8).cast(), ci[1]);
     }
-    sums
 }
 
 // safety: same AVX2-availability contract as `micro_kernel`.
@@ -383,32 +251,17 @@ impl SimdOps for Avx2Ops {
         unsafe { pack_row(src, dst) }
     }
 
-    fn dot_u8i8(&self, a: &[u8], w: &[u8]) -> i32 {
-        // safety: Avx2Ops exists only on hosts where the AVX2 probe passed.
-        unsafe { dot_u8i8(a, w) }
-    }
-
-    fn dot_u8i8_x4(&self, a: &[u8], w0: &[u8], w1: &[u8], w2: &[u8], w3: &[u8]) -> [i32; 4] {
-        // safety: Avx2Ops exists only on hosts where the AVX2 probe passed.
-        unsafe { dot_u8i8_x4(a, w0, w1, w2, w3) }
-    }
-
-    fn dot_u4i4(&self, k: usize, a: &[u8], w_packed: &[u8]) -> i32 {
-        // safety: Avx2Ops exists only on hosts where the AVX2 probe passed.
-        unsafe { dot_u4i4(k, a, w_packed) }
-    }
-
-    fn dot_u4i4_x4(
+    fn micro_kernel_i32(
         &self,
-        k: usize,
-        a: &[u8],
-        w0: &[u8],
-        w1: &[u8],
-        w2: &[u8],
-        w3: &[u8],
-    ) -> [i32; 4] {
-        // safety: Avx2Ops exists only on hosts where the AVX2 probe passed.
-        unsafe { dot_u4i4_x4(k, a, w0, w1, w2, w3) }
+        kc: usize,
+        a: &[[i16; INT_KC]; INT_MR],
+        w: &[u8],
+        acc: &mut [[i32; INT_NR]; INT_MR],
+    ) {
+        assert!(kc <= INT_KC && w.len() >= int_panel_len(kc));
+        // safety: Avx2Ops exists only on hosts where the AVX2 probe passed,
+        // and the assert above is the kernel's bounds precondition.
+        unsafe { micro_kernel_i32(kc, a, w, acc) }
     }
 
     fn bn_row(&self, x: &[f32], y: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f32) {

@@ -1,16 +1,16 @@
 //! Portable SIMD kernel layer: one trait, runtime-dispatched backends.
 //!
 //! Every hot kernel in the workspace — the `MR×NR` GEMM micro-kernel and
-//! its pack routines, quantized integer dot products, BN row passes and the
-//! softmax/exp tails — is expressed against [`SimdOps`] and resolved at
-//! runtime from a [`KernelMode`]:
+//! its pack routines, the quantized integer GEMM's `INT_MR×INT_NR` tile, BN
+//! row passes and the softmax/exp tails — is expressed against [`SimdOps`]
+//! and resolved at runtime from a [`KernelMode`]:
 //!
 //! * **`scalar`** — the original portable Rust loops, unchanged. This is
 //!   the *bitwise-pinned reference tier*: same seed ⇒ same logits on every
 //!   platform, forever. CI and the chaos harness re-verify it each run.
 //! * **`native`** — the best backend the host exposes (AVX2 on `x86_64`
 //!   after `is_x86_feature_detected!`, NEON on `aarch64`, scalar
-//!   otherwise). Integer kernels accumulate exactly in `i32`, so their
+//!   otherwise). The integer tile accumulates exactly in `i32`, so its
 //!   results are **bitwise identical** to scalar on every arch. `f32`
 //!   kernels fall in two tiers: the micro-kernel/BN/pack paths replay the
 //!   scalar rounding sequence exactly (multiply then add per lane, no FMA,
@@ -42,10 +42,35 @@ pub const MR: usize = 4;
 /// Columns of the register-held GEMM output block (micro-panel width of `B`).
 pub const NR: usize = 8;
 
+/// Activation rows of the integer GEMM's register tile.
+pub const INT_MR: usize = 4;
+/// Weight rows (output features) per integer panel and register tile: two
+/// 8-lane `i32` vectors per activation row on AVX2.
+pub const INT_NR: usize = 16;
+/// Depth of one `K` block of the integer GEMM: the largest multiple of 256
+/// for which a block of widened activations (`INT_MR · INT_KC` `i16`s,
+/// 10 KiB) plus the panel slice it meets (`INT_NR · INT_KC` bytes, 20 KiB)
+/// fit a 32 KiB L1. Even, so every block starts on a whole `K` pair.
+pub const INT_KC: usize = 1280;
+
+/// Byte offset of weight `(p, j)` — depth `p`, column `j < INT_NR` — inside
+/// one integer weight panel: `K` pairs outermost, then the columns, then
+/// the pair's two depths, so the 32 bytes at `32·(p/2)` are everything one
+/// `vpmaddwd` step of the tile needs.
+pub const fn int_panel_index(p: usize, j: usize) -> usize {
+    (p / 2) * 2 * INT_NR + 2 * j + p % 2
+}
+
+/// Bytes of one integer weight panel of depth `k` (odd depths are padded to
+/// a whole pair with a zero weight).
+pub const fn int_panel_len(k: usize) -> usize {
+    k.div_ceil(2) * 2 * INT_NR
+}
+
 /// One SIMD backend: the complete set of dispatched micro-kernels.
 ///
 /// Implementations must follow the determinism tiers documented at the
-/// module level: integer kernels and the f32 micro-kernel/BN/pack kernels
+/// module level: the integer tile and the f32 micro-kernel/BN/pack kernels
 /// must be bitwise identical to [`SCALAR`]'s results; `exp_sub_sum` may
 /// differ from scalar by a small ULP bound.
 pub trait SimdOps: Sync {
@@ -62,53 +87,35 @@ pub trait SimdOps: Sync {
     /// (`dst.len() == src.len()`; a copy is trivially bitwise).
     fn pack_row_f32(&self, src: &[f32], dst: &mut [f32]);
 
-    /// Widening dot product of unsigned activation levels against signed
-    /// `i8` weights (`w` bytes are two's-complement `i8`), accumulated
-    /// exactly in `i32` — order-independent, hence bitwise on every arch.
+    /// The register-blocked integer GEMM inner kernel, shaped like
+    /// [`SimdOps::micro_kernel_f32`]:
+    /// `acc[i][j] += Σ_{p < kc} a[i][p] · w(p, j)`, where `a` holds
+    /// [`INT_MR`] rows of unsigned activation levels widened to `i16` and
+    /// `w` is (a `K` slice of) one weight panel in the layout of
+    /// [`int_panel_index`]: two's-complement `i8` bytes, [`INT_NR`] columns
+    /// wide, consecutive `K` pairs interleaved per column. Accumulation is
+    /// exact in `i32` — order-independent, hence bitwise on every arch and
+    /// under any tiling or `K`-blocking the caller chooses.
     ///
-    /// `a.len() ≤ 2^16` keeps `Σ 255·127` inside `i32`; the integer
-    /// operands' one constructor (`tia_quant::QuantizedWeights::
-    /// quantize_rows`) refuses deeper rows, so no caller can exceed it.
-    fn dot_u8i8(&self, a: &[u8], w: &[u8]) -> i32;
-
-    /// Four [`SimdOps::dot_u8i8`] dots sharing one activation row — the
-    /// quantized GEMM inner loop calls this so backends can amortize the
-    /// activation widening across weight rows. Exact `i32` accumulation
-    /// like the single dot, so the grouping cannot change any result bit.
-    fn dot_u8i8_x4(&self, a: &[u8], w0: &[u8], w1: &[u8], w2: &[u8], w3: &[u8]) -> [i32; 4] {
-        [
-            self.dot_u8i8(a, w0),
-            self.dot_u8i8(a, w1),
-            self.dot_u8i8(a, w2),
-            self.dot_u8i8(a, w3),
-        ]
-    }
-
-    /// Packed sub-byte dot product: `k` unsigned activation levels
-    /// (each `0..=15`) against `k` signed 4-bit weights packed two per
-    /// byte (element `2i` in the low nibble of `w_packed[i]`, element
-    /// `2i+1` in the high nibble; nibbles decode as `(n ^ 8) - 8`).
-    /// Exact `i32` accumulation — bitwise on every arch.
-    fn dot_u4i4(&self, k: usize, a: &[u8], w_packed: &[u8]) -> i32;
-
-    /// Four [`SimdOps::dot_u4i4`] dots sharing one activation row — same
-    /// amortization contract as [`SimdOps::dot_u8i8_x4`], same exactness.
-    fn dot_u4i4_x4(
+    /// `w` must hold `kc` rounded up to a whole pair. A backend may multiply
+    /// through the last pair of an odd `kc` in full, so that pair's second
+    /// weight must be the zero padding the layout prescribes; what `a` holds
+    /// past `kc` is then irrelevant. Levels are `0..=255`, and
+    /// the total depth accumulated into one `acc` stays `≤ 2^16`, which
+    /// keeps `Σ 255·127` inside `i32`; the integer operands' one
+    /// constructor (`tia_quant::QuantizedWeights::quantize_rows`) refuses
+    /// deeper rows, so no caller can exceed it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kc > INT_KC` or `w` is shorter than [`int_panel_len`]`(kc)`.
+    fn micro_kernel_i32(
         &self,
-        k: usize,
-        a: &[u8],
-        w0: &[u8],
-        w1: &[u8],
-        w2: &[u8],
-        w3: &[u8],
-    ) -> [i32; 4] {
-        [
-            self.dot_u4i4(k, a, w0),
-            self.dot_u4i4(k, a, w1),
-            self.dot_u4i4(k, a, w2),
-            self.dot_u4i4(k, a, w3),
-        ]
-    }
+        kc: usize,
+        a: &[[i16; INT_KC]; INT_MR],
+        w: &[u8],
+        acc: &mut [[i32; INT_NR]; INT_MR],
+    );
 
     /// One batch-norm inference row: `y[j] = g·((x[j] − mean)·inv_std) + b`
     /// with exactly that operation order per element (bitwise tier).
@@ -233,6 +240,19 @@ mod tests {
     fn native_detection_is_stable() {
         assert_eq!(detect_name(), detect_name());
         assert_eq!(backend(KernelMode::Native).name(), detect_name());
+    }
+
+    #[test]
+    fn panel_index_is_a_bijection_onto_the_padded_panel() {
+        for k in [1usize, 2, 5, 16] {
+            let mut seen = vec![false; int_panel_len(k)];
+            for p in 0..k.div_ceil(2) * 2 {
+                for j in 0..INT_NR {
+                    assert!(!std::mem::replace(&mut seen[int_panel_index(p, j)], true));
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "k={k}");
+        }
     }
 
     #[test]

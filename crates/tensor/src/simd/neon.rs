@@ -4,13 +4,13 @@
 //! row with one multiply and one add per term in increasing-`p` order — the
 //! exact scalar rounding sequence, so it sits in the bitwise tier (no FMA:
 //! `vmlaq_f32` may fuse on some cores, so `vmulq`/`vaddq` are used
-//! explicitly). The integer dot products and the transcendental tail
-//! delegate to the scalar reference: integers are exact anyway, and keeping
-//! `exp` scalar keeps this backend bitwise across the board.
+//! explicitly). The integer tile and the transcendental tail delegate to
+//! the scalar reference: integers are exact anyway, and keeping `exp`
+//! scalar keeps this backend bitwise across the board.
 
 #![allow(unsafe_code)]
 
-use super::{scalar::ScalarOps, SimdOps, MR, NR};
+use super::{scalar::ScalarOps, SimdOps, INT_KC, INT_MR, INT_NR, MR, NR};
 use std::arch::aarch64::*;
 
 /// The NEON implementation, selected for every `aarch64` host.
@@ -58,12 +58,14 @@ impl SimdOps for NeonOps {
         ScalarOps.pack_row_f32(src, dst);
     }
 
-    fn dot_u8i8(&self, a: &[u8], w: &[u8]) -> i32 {
-        ScalarOps.dot_u8i8(a, w)
-    }
-
-    fn dot_u4i4(&self, k: usize, a: &[u8], w_packed: &[u8]) -> i32 {
-        ScalarOps.dot_u4i4(k, a, w_packed)
+    fn micro_kernel_i32(
+        &self,
+        kc: usize,
+        a: &[[i16; INT_KC]; INT_MR],
+        w: &[u8],
+        acc: &mut [[i32; INT_NR]; INT_MR],
+    ) {
+        ScalarOps.micro_kernel_i32(kc, a, w, acc);
     }
 
     fn bn_row(&self, x: &[f32], y: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f32) {

@@ -5,7 +5,7 @@
 //! the determinism tiers in the module docs), and `TIA_KERNEL=scalar`
 //! routes all serving through it unchanged.
 
-use super::{SimdOps, MR, NR};
+use super::{int_panel_index, int_panel_len, SimdOps, INT_KC, INT_MR, INT_NR, MR, NR};
 
 /// The always-available, bitwise-pinned reference implementation.
 #[derive(Debug, Default, Clone, Copy)]
@@ -34,29 +34,22 @@ impl SimdOps for ScalarOps {
         dst.copy_from_slice(src);
     }
 
-    fn dot_u8i8(&self, a: &[u8], w: &[u8]) -> i32 {
-        debug_assert_eq!(a.len(), w.len());
-        let mut acc = 0i32;
-        for (&av, &wv) in a.iter().zip(w) {
-            acc += av as i32 * (wv as i8) as i32;
+    fn micro_kernel_i32(
+        &self,
+        kc: usize,
+        a: &[[i16; INT_KC]; INT_MR],
+        w: &[u8],
+        acc: &mut [[i32; INT_NR]; INT_MR],
+    ) {
+        assert!(kc <= INT_KC && w.len() >= int_panel_len(kc));
+        for p in 0..kc {
+            for (arow, crow) in a.iter().zip(acc.iter_mut()) {
+                let ai = arow[p] as i32;
+                for (j, c) in crow.iter_mut().enumerate() {
+                    *c += ai * (w[int_panel_index(p, j)] as i8) as i32;
+                }
+            }
         }
-        acc
-    }
-
-    fn dot_u4i4(&self, k: usize, a: &[u8], w_packed: &[u8]) -> i32 {
-        debug_assert!(a.len() >= k && w_packed.len() >= k.div_ceil(2));
-        let mut acc = 0i32;
-        for (i, &av) in a.iter().enumerate().take(k) {
-            let nib = if i % 2 == 0 {
-                w_packed[i / 2] & 0x0F
-            } else {
-                w_packed[i / 2] >> 4
-            };
-            // Sign-extend the 4-bit two's-complement nibble to i32.
-            let wv = (nib ^ 8) as i32 - 8;
-            acc += av as i32 * wv;
-        }
-        acc
     }
 
     fn bn_row(&self, x: &[f32], y: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f32) {
@@ -85,26 +78,54 @@ impl SimdOps for ScalarOps {
 mod tests {
     use super::*;
 
-    #[test]
-    fn dot_u8i8_matches_manual() {
-        let a = [1u8, 2, 255, 0, 7];
-        let w = [1i8, -1, -128, 5, 3].map(|v| v as u8);
-        assert_eq!(ScalarOps.dot_u8i8(&a, &w), 1 - 2 + 255 * (-128) + 21);
+    /// One tile call over `a` (row-major `[INT_MR][kc]` levels) and `w`
+    /// (`w[p][j]`, `kc × INT_NR` signed weights), packed the way the driver
+    /// and the weight constructor do.
+    fn tile(kc: usize, a: &[u8], w: &[i8], acc: &mut [[i32; INT_NR]; INT_MR]) {
+        let mut wide = [[0i16; INT_KC]; INT_MR];
+        let mut panel = vec![0u8; int_panel_len(kc)];
+        for p in 0..kc {
+            for (i, row) in wide.iter_mut().enumerate() {
+                row[p] = a[i * kc + p] as i16;
+            }
+            for j in 0..INT_NR {
+                panel[int_panel_index(p, j)] = w[p * INT_NR + j] as u8;
+            }
+        }
+        ScalarOps.micro_kernel_i32(kc, &wide, &panel, acc);
     }
 
     #[test]
-    fn dot_u4i4_decodes_nibbles() {
-        // Elements: w = [3, -8, 7, -1, 5] packed two per byte, low first.
-        let packed = [(3u8) | (8 << 4), (7u8) | (15 << 4), 5u8];
-        let a = [1u8, 1, 2, 3, 10];
-        assert_eq!(ScalarOps.dot_u4i4(5, &a, &packed), 3 - 8 + 14 - 3 + 50);
+    fn tile_matches_manual() {
+        // Depth 5 (odd: the last pair is half padding), the u8 and i8
+        // extremes, distinct rows and columns.
+        let kc = 5;
+        let a: Vec<u8> = (0..INT_MR * kc)
+            .map(|v| [1u8, 2, 255, 0, 7][v % kc].wrapping_sub((v / kc) as u8))
+            .collect();
+        let w: Vec<i8> = (0..kc * INT_NR)
+            .map(|v| [1i8, -1, -128, 5, 3][v / INT_NR].wrapping_add((v % INT_NR) as i8))
+            .collect();
+        let mut acc = [[0i32; INT_NR]; INT_MR];
+        tile(kc, &a, &w, &mut acc);
+        for i in 0..INT_MR {
+            for j in 0..INT_NR {
+                let want: i32 = (0..kc)
+                    .map(|p| a[i * kc + p] as i32 * w[p * INT_NR + j] as i32)
+                    .sum();
+                assert_eq!(acc[i][j], want, "({i},{j})");
+            }
+        }
+        assert_eq!(acc[0][0], 1 - 2 + 255 * (-128) + 21);
     }
 
     #[test]
-    fn zero_nibble_decodes_to_zero_weight() {
-        // The padding nibble of an odd-k row must contribute nothing.
-        let packed = [2u8]; // elements [2, 0]
-        assert_eq!(ScalarOps.dot_u4i4(2, &[5, 9], &packed), 10);
+    fn tile_adds_into_its_accumulators_and_depth_zero_is_inert() {
+        let mut acc = [[7i32; INT_NR]; INT_MR];
+        tile(0, &[], &[], &mut acc);
+        assert_eq!(acc, [[7; INT_NR]; INT_MR]);
+        tile(2, &[3; INT_MR * 2], &[-2; 2 * INT_NR], &mut acc);
+        assert_eq!(acc, [[7 - 12; INT_NR]; INT_MR]);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! backend; only the transcendental tail (`exp_sub_sum`) is tolerance-tier,
 //! bounded in ULPs.
 
-use tia_tensor::simd::{self, KernelMode, SimdOps, MR, NR};
+use tia_tensor::simd::{
+    self, int_panel_index, int_panel_len, KernelMode, SimdOps, INT_KC, INT_MR, INT_NR, MR, NR,
+};
 use tia_tensor::{gemm_ws, softmax_rows, SeededRng, Tensor, Workspace};
 
 /// The backends under test: the pinned reference plus whatever `native`
@@ -83,91 +85,153 @@ fn pack_row_is_bitwise_equal_across_backends() {
     }
 }
 
-#[test]
-fn integer_dot_products_are_exact_across_backends() {
-    let mut rng = SeededRng::new(103);
-    for &k in LENS {
-        // u8 levels against full-range i8 weights (as raw two's-complement
-        // bytes), including the extremes 255 and -128.
-        let a: Vec<u8> = (0..k).map(|_| rng.below(256) as u8).collect();
-        let w: Vec<u8> = (0..k).map(|_| rng.below(256) as u8).collect();
-        let want8 = simd::SCALAR.dot_u8i8(&a, &w);
-        // 4-bit: levels 0..=15, weights packed two per byte over -8..=7.
-        let a4: Vec<u8> = (0..k).map(|_| rng.below(16) as u8).collect();
-        let wp: Vec<u8> = (0..k.div_ceil(2)).map(|_| rng.below(256) as u8).collect();
-        let want4 = simd::SCALAR.dot_u4i4(k, &a4, &wp);
-        // Quad form: four weight rows sharing the activation row must give
-        // exactly the four single-dot answers on every backend.
-        let ws: Vec<Vec<u8>> = (0..4)
-            .map(|_| (0..k).map(|_| rng.below(256) as u8).collect())
-            .collect();
-        let want_x4: Vec<i32> = ws.iter().map(|wr| simd::SCALAR.dot_u8i8(&a, wr)).collect();
-        let wps: Vec<Vec<u8>> = (0..4)
-            .map(|_| (0..k.div_ceil(2)).map(|_| rng.below(256) as u8).collect())
-            .collect();
-        let want4_x4: Vec<i32> = wps
-            .iter()
-            .map(|wr| simd::SCALAR.dot_u4i4(k, &a4, wr))
-            .collect();
+/// One integer tile problem in the kernel's own operand layout.
+struct TileCase {
+    kc: usize,
+    a: Box<[[i16; INT_KC]; INT_MR]>,
+    w: Vec<u8>,
+    acc: [[i32; INT_NR]; INT_MR],
+}
+
+impl TileCase {
+    /// `level(i, p)` and `weight(p, j)` fill the valid depth; everything
+    /// past it — the rest of each activation row, and the panel's padding
+    /// weight when `kc` is odd — is `a_pad` and zero.
+    fn new(
+        kc: usize,
+        a_pad: i16,
+        acc: i32,
+        mut level: impl FnMut(usize, usize) -> u8,
+        mut weight: impl FnMut(usize, usize) -> i8,
+    ) -> Self {
+        let mut a = Box::new([[a_pad; INT_KC]; INT_MR]);
+        let mut w = vec![0u8; int_panel_len(kc)];
+        for p in 0..kc {
+            for (i, row) in a.iter_mut().enumerate() {
+                row[p] = level(i, p) as i16;
+            }
+            for j in 0..INT_NR {
+                w[int_panel_index(p, j)] = weight(p, j) as u8;
+            }
+        }
+        Self {
+            kc,
+            a,
+            w,
+            acc: [[acc; INT_NR]; INT_MR],
+        }
+    }
+
+    /// The plain triple loop in `i64`, reading operands by index.
+    fn naive(&self) -> [[i64; INT_NR]; INT_MR] {
+        let mut want = [[0i64; INT_NR]; INT_MR];
+        for (i, row) in want.iter_mut().enumerate() {
+            for (j, c) in row.iter_mut().enumerate() {
+                *c = self.acc[i][j] as i64;
+                for p in 0..self.kc {
+                    *c += self.a[i][p] as i64 * (self.w[int_panel_index(p, j)] as i8) as i64;
+                }
+            }
+        }
+        want
+    }
+
+    /// Every backend's tile ≡ the scalar tile ≡ the naive loop.
+    fn check(&self, what: &str) {
+        let want = self.naive();
         for ops in backends() {
-            assert_eq!(
-                ops.dot_u8i8(&a, &w),
-                want8,
-                "{}: dot_u8i8 k={}",
-                ops.name(),
-                k
-            );
-            assert_eq!(
-                ops.dot_u4i4(k, &a4, &wp),
-                want4,
-                "{}: dot_u4i4 k={}",
-                ops.name(),
-                k
-            );
-            assert_eq!(
-                ops.dot_u8i8_x4(&a, &ws[0], &ws[1], &ws[2], &ws[3]).to_vec(),
-                want_x4,
-                "{}: dot_u8i8_x4 k={}",
-                ops.name(),
-                k
-            );
-            assert_eq!(
-                ops.dot_u4i4_x4(k, &a4, &wps[0], &wps[1], &wps[2], &wps[3])
-                    .to_vec(),
-                want4_x4,
-                "{}: dot_u4i4_x4 k={}",
-                ops.name(),
-                k
-            );
+            let mut acc = self.acc;
+            ops.micro_kernel_i32(self.kc, &self.a, &self.w, &mut acc);
+            for i in 0..INT_MR {
+                for j in 0..INT_NR {
+                    assert_eq!(
+                        acc[i][j] as i64,
+                        want[i][j],
+                        "{}: {what} kc={} acc[{i}][{j}]",
+                        ops.name(),
+                        self.kc
+                    );
+                }
+            }
         }
     }
 }
 
 #[test]
-fn odd_k_i4_padding_nibble_is_inert_on_every_backend() {
-    // For odd k the final packed byte's high nibble is padding; no backend
-    // may read it, whatever its value.
-    for k in [1usize, 7, 17, 31, 33] {
-        let a: Vec<u8> = (0..k).map(|i| (i * 7 % 16) as u8).collect();
-        let mut wp: Vec<u8> = (0..k.div_ceil(2)).map(|i| (i * 13) as u8).collect();
-        wp[k / 2] &= 0x0F; // clean padding nibble
-        let mut dirty = wp.clone();
-        dirty[k / 2] |= 0xF0; // worst-case padding nibble (-1)
-        for ops in backends() {
-            assert_eq!(
-                ops.dot_u4i4(k, &a, &wp),
-                ops.dot_u4i4(k, &a, &dirty),
-                "{}: padding nibble leaked at k={}",
-                ops.name(),
-                k
-            );
-            assert_eq!(
-                ops.dot_u4i4_x4(k, &a, &wp, &dirty, &wp, &dirty),
-                ops.dot_u4i4_x4(k, &a, &wp, &wp, &wp, &wp),
-                "{}: quad padding nibble leaked at k={}",
-                ops.name(),
-                k
-            );
+fn integer_tile_is_exact_across_backends() {
+    let mut rng = SeededRng::new(103);
+    for kc in [0usize, 1, 2, 3, 15, 16, 17, 143, 144, INT_KC - 1, INT_KC] {
+        // u8 levels against full-range i8 weights, extremes 255 and -128
+        // included, into accumulators a previous K block already filled.
+        for acc in [0, -1_000_003] {
+            let mut wrng = SeededRng::new(kc as u64);
+            TileCase::new(
+                kc,
+                0,
+                acc,
+                |_, _| rng.below(256) as u8,
+                |_, _| wrng.below(256) as u8 as i8,
+            )
+            .check("random");
+        }
+        // 4-bit operands in byte lanes: levels 0..=15, weights -7..=7.
+        let mut wrng = SeededRng::new(!(kc as u64));
+        TileCase::new(
+            kc,
+            0,
+            0,
+            |_, _| rng.below(16) as u8,
+            |_, _| wrng.below(15) as i8 - 7,
+        )
+        .check("4-bit");
+    }
+}
+
+#[test]
+fn odd_depth_padding_is_inert_on_every_backend() {
+    // An odd depth's last pair is half padding: the panel's padding weight
+    // is zero by layout, so whatever the activation row holds past `kc`
+    // (here the largest level, widened) must not reach any sum.
+    for kc in [1usize, 7, 17, 143, INT_KC - 1] {
+        TileCase::new(
+            kc,
+            255,
+            5,
+            |i, p| (i * 31 + p * 7) as u8,
+            |p, j| (p * 13 + j * 5) as u8 as i8,
+        )
+        .check("poisoned padding level");
+    }
+}
+
+#[test]
+fn deepest_allowed_accumulation_stays_inside_i32() {
+    // The worst case the weight constructor admits: every level 255 against
+    // every weight at ±127 over a depth of 2^16, accumulated K block by K
+    // block into one tile. Sign per column, so both extremes are reached.
+    const MAX_DEPTH: usize = 1 << 16;
+    let case = TileCase::new(
+        INT_KC,
+        0,
+        0,
+        |_, _| 255,
+        |_, j| if j % 2 == 0 { 127 } else { -127 },
+    );
+    for ops in backends() {
+        let mut acc = case.acc;
+        for k0 in (0..MAX_DEPTH).step_by(INT_KC) {
+            ops.micro_kernel_i32(INT_KC.min(MAX_DEPTH - k0), &case.a, &case.w, &mut acc);
+        }
+        for row in &acc {
+            for (j, &c) in row.iter().enumerate() {
+                let sign = if j % 2 == 0 { 1 } else { -1 };
+                assert_eq!(
+                    c as i64,
+                    sign * 255 * 127 * MAX_DEPTH as i64,
+                    "{}",
+                    ops.name()
+                );
+            }
         }
     }
 }

@@ -10,13 +10,20 @@
 //! every output bit after the GEMM. Geometries are drawn to hit what a fixed
 //! model never does: 1/3/5 kernels, stride 2 with odd sizes, padding wider
 //! than the kernel reach, `H != W`, channel counts that are no multiple of a
-//! vector, and odd depths (the `i4` rows' dangling nibble).
+//! vector, and odd depths (a `K` pair's padding weight).
+//!
+//! One tier further down, `gemm_quant_strided_matches_naive_on_tile_edges`
+//! fuzzes the blocked GEMM driver itself on shapes chosen to straddle its
+//! tile, panel and `K`-block edges, against a reference that knows nothing
+//! of tiles.
 
 use two_in_one_accel::nn::{Conv2d, Layer};
 use two_in_one_accel::prelude::*;
 use two_in_one_accel::quant::{
-    gemm_quant, quantize_affine_levels, quantize_affine_levels_hwc, QuantizedWeights,
+    gemm_quant, gemm_quant_strided, quantize_affine_levels, quantize_affine_levels_hwc, OutStrides,
+    QuantizedWeights,
 };
+use two_in_one_accel::tensor::simd::{INT_KC, INT_MR, INT_NR};
 use two_in_one_accel::tensor::{im2col_levels_rows, simd, Conv2dGeometry, Workspace};
 
 /// The reference lowering: `[C, H, W]` levels to rows in `(ci, ki, kj)`
@@ -210,5 +217,144 @@ fn integer_conv_forward_equals_reference_lowering_and_per_sample() {
             }
             ws.recycle_tensor(batched);
         }
+    }
+}
+
+/// A value no dequantized sum produces: what `out` holds wherever the
+/// strides do not reach.
+const POISON: u32 = 0x7FC0_DEAD;
+
+/// One seeded driver problem: the shape is drawn from `seed` alone, so the
+/// line a failure prints (`tile_edge_case(0x…)`) replays it by itself.
+fn tile_edge_case(seed: u64) {
+    let mut rng = SeededRng::new(seed);
+    // Groups of 1, 3 or 9 rows straddle the INT_MR-row blocks; widths and
+    // depths sit on both sides of a panel, a K pair and a K block.
+    let groups = 1 + rng.below(4);
+    let rpg = *rng.choose(&[1, 1, 3, 3, 9, INT_MR, 2 * INT_MR + 1]);
+    let n = *rng.choose(&[1, 2, 10, INT_NR - 1, INT_NR, INT_NR + 1, 2 * INT_NR + 3]);
+    let k = *rng.choose(&[
+        1,
+        2,
+        3,
+        7,
+        16,
+        17,
+        33,
+        144,
+        145,
+        INT_KC - 1,
+        INT_KC,
+        INT_KC + 1,
+        2 * INT_KC + 1,
+    ]);
+    let bits = 2 + rng.below(7) as u8;
+    let with_bias = rng.below(2) == 0;
+    let planes = rng.below(2) == 0;
+    // Gaps between rows / planes and between groups: memory the driver has
+    // no business writing.
+    let (pad, gap) = (rng.below(3), rng.below(5));
+    let strides = if planes {
+        OutStrides {
+            group: n * (rpg + pad) + gap,
+            row: 1,
+            col: rpg + pad,
+        }
+    } else {
+        OutStrides {
+            group: rpg * (n + pad) + gap,
+            row: n + pad,
+            col: 1,
+        }
+    };
+    let shape = format!(
+        "tile_edge_case({seed:#x}): groups={groups} rows_per_group={rpg} k={k} n={n} \
+         bits={bits} bias={with_bias} {strides:?}"
+    );
+
+    let m = groups * rpg;
+    let weights: Vec<f32> = (0..n * k).map(|_| rng.normal()).collect();
+    let bias: Vec<f32> = (0..n).map(|_| rng.normal()).collect();
+    let bias = with_bias.then_some(&bias[..]);
+    let levels: Vec<u8> = (0..m * k).map(|_| rng.below(1 << bits) as u8).collect();
+    let scales: Vec<f32> = (0..groups).map(|_| rng.uniform_in(0.001, 0.1)).collect();
+    let zps: Vec<i32> = (0..groups).map(|_| rng.below(1 << bits) as i32).collect();
+    let q = QuantizedWeights::quantize_rows(&weights, n, k, bits);
+
+    // The reference: the constructor's grid, an i64 sum per output, and the
+    // driver's dequantization expression applied to it.
+    let qmax = ((1i32 << (bits - 1)) - 1) as f32;
+    let span = strides.group * (groups - 1) + strides.row * (rpg - 1) + strides.col * (n - 1) + 1;
+    let mut want = vec![f32::from_bits(POISON); span + 7];
+    for j in 0..n {
+        let row = &weights[j * k..(j + 1) * k];
+        let s_w = row.iter().fold(0.0f32, |a, &v| a.max(v.abs())) / qmax;
+        assert_eq!(q.scales()[j].to_bits(), s_w.to_bits(), "{shape}: scale {j}");
+        let t: Vec<i64> = row
+            .iter()
+            .map(|&v| (v / s_w).round().clamp(-qmax, qmax) as i64)
+            .collect();
+        for (p, &tp) in t.iter().enumerate() {
+            assert_eq!(
+                q.dequant_at(j, p),
+                s_w * tp as f32,
+                "{shape}: weight ({j},{p})"
+            );
+        }
+        let t_sum: i64 = t.iter().sum();
+        for i in 0..m {
+            let (g, r) = (i / rpg, i % rpg);
+            let sum: i64 = levels[i * k..(i + 1) * k]
+                .iter()
+                .zip(&t)
+                .map(|(&a, &tp)| a as i64 * tp)
+                .sum();
+            let v = (scales[g] * s_w) * ((sum - zps[g] as i64 * t_sum) as f32);
+            want[g * strides.group + r * strides.row + j * strides.col] = match bias {
+                Some(b) => v + b[j],
+                None => v,
+            };
+        }
+    }
+    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+
+    for mode in [KernelMode::Native, KernelMode::Scalar] {
+        let ops = simd::backend(mode);
+        // The whole call: every reached element equals the reference, every
+        // other element (gaps, tail, and so whatever a padded lane of an
+        // edge tile computed) still holds the poison.
+        let mut out = vec![f32::from_bits(POISON); want.len()];
+        gemm_quant_strided(
+            ops, m, k, &levels, &scales, &zps, &q, bias, &mut out, strides,
+        );
+        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{shape} [{mode}]");
+
+        // Whole call ≡ one call per group: where a row falls in a block of
+        // INT_MR cannot matter.
+        let mut out = vec![f32::from_bits(POISON); want.len()];
+        for g in 0..groups {
+            gemm_quant_strided(
+                ops,
+                rpg,
+                k,
+                &levels[g * rpg * k..(g + 1) * rpg * k],
+                &scales[g..g + 1],
+                &zps[g..g + 1],
+                &q,
+                bias,
+                &mut out[g * strides.group..],
+                strides,
+            );
+        }
+        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{shape} [{mode}, one call per group]");
+    }
+}
+
+#[test]
+fn gemm_quant_strided_matches_naive_on_tile_edges() {
+    for case in 0..320u64 {
+        tile_edge_case(0x71E5_ED6E ^ (case << 32));
     }
 }
