@@ -2,67 +2,13 @@
 //! accuracy for PreActResNet-18 and WideResNet-32 under FGSM / FGSM-RS /
 //! PGD-7 adversarial training, with and without RPS.
 
-use tia_attack::Pgd;
-use tia_bench::{banner, default_rps_set, pct, train_model, Arch, Scale, EPS_CIFAR};
-use tia_core::{natural_accuracy, robust_accuracy, AdvMethod, PrecisionPolicy};
+use tia_bench::run_rps_table;
 use tia_data::DatasetProfile;
-use tia_tensor::SeededRng;
 
 fn main() {
-    run_table(
+    run_rps_table(
         "Table 1: RPS on CIFAR-10-like",
         &DatasetProfile::cifar10_like(),
+        "Paper (Tab.1, full scale): RPS adds +12.1~22.6 points of PGD-20",
     );
-}
-
-pub fn run_table(title: &str, profile: &DatasetProfile) {
-    let scale = Scale::from_env();
-    banner(title, "synthetic dataset stands in for the original corpus");
-    let methods = [
-        AdvMethod::Fgsm,
-        AdvMethod::FgsmRs,
-        AdvMethod::Pgd { steps: 7 },
-    ];
-    for arch in [Arch::PreActResNet18, Arch::WideResNet32] {
-        println!("\n--- {} ---", arch.name());
-        println!(
-            "{:<18} {:>9} {:>9} {:>9}",
-            "Method", "Natural", "PGD-20", "PGD-100"
-        );
-        for method in methods {
-            for rps in [false, true] {
-                let set = rps.then(default_rps_set);
-                let (mut net, test) =
-                    train_model(profile, arch, method, set.clone(), EPS_CIFAR, scale, 42);
-                let eval = test.take(scale.eval);
-                let mut rng = SeededRng::new(7);
-                let policy = match &set {
-                    Some(s) => PrecisionPolicy::Random(s.clone()),
-                    None => PrecisionPolicy::Fixed(None),
-                };
-                let nat = natural_accuracy(&mut net, &eval, &policy, &mut rng);
-                let mut robs = vec![];
-                for steps in [20usize, 100] {
-                    let attack = Pgd::new(EPS_CIFAR, steps);
-                    robs.push(robust_accuracy(
-                        &mut net, &eval, &attack, &policy, &policy, 12, &mut rng,
-                    ));
-                }
-                let label = if rps {
-                    format!("{}+RPS", method.name())
-                } else {
-                    method.name()
-                };
-                println!(
-                    "{:<18} {:>9} {:>9} {:>9}",
-                    label,
-                    pct(nat),
-                    pct(robs[0]),
-                    pct(robs[1])
-                );
-            }
-        }
-    }
-    println!("\nPaper (Tab.1, full scale): RPS adds +12.1~22.6 points of PGD-20");
-    println!("robust accuracy over each adversarial-training baseline.");
 }

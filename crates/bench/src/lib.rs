@@ -11,7 +11,10 @@
 
 pub mod harness;
 
-use tia_core::{adversarial_train, AdvMethod, TrainConfig};
+use tia_attack::Pgd;
+use tia_core::{
+    adversarial_train, natural_accuracy, robust_accuracy, AdvMethod, PrecisionPolicy, TrainConfig,
+};
 use tia_data::{generate, Dataset, DatasetProfile};
 use tia_nn::zoo::{preact_resnet, BnKind, PreActResNetConfig};
 use tia_nn::Network;
@@ -167,6 +170,63 @@ pub fn banner(title: &str, substitution_note: &str) {
     println!("{}", title);
     println!("(reduced-scale reproduction; {})", substitution_note);
     println!("================================================================");
+}
+
+/// Runs one of the paper's RPS accuracy tables (Tab. 1–3): natural and
+/// PGD-20/PGD-100 robust accuracy for PreActResNet-18 and WideResNet-32
+/// under FGSM / FGSM-RS / PGD-7 adversarial training, with and without RPS,
+/// on `profile`. `paper_note` is the table's headline result in the paper,
+/// printed under the reproduction's numbers.
+pub fn run_rps_table(title: &str, profile: &DatasetProfile, paper_note: &str) {
+    let scale = Scale::from_env();
+    banner(title, "synthetic dataset stands in for the original corpus");
+    let methods = [
+        AdvMethod::Fgsm,
+        AdvMethod::FgsmRs,
+        AdvMethod::Pgd { steps: 7 },
+    ];
+    for arch in [Arch::PreActResNet18, Arch::WideResNet32] {
+        println!("\n--- {} ---", arch.name());
+        println!(
+            "{:<18} {:>9} {:>9} {:>9}",
+            "Method", "Natural", "PGD-20", "PGD-100"
+        );
+        for method in methods {
+            for rps in [false, true] {
+                let set = rps.then(default_rps_set);
+                let (mut net, test) =
+                    train_model(profile, arch, method, set.clone(), EPS_CIFAR, scale, 42);
+                let eval = test.take(scale.eval);
+                let mut rng = SeededRng::new(7);
+                let policy = match &set {
+                    Some(s) => PrecisionPolicy::Random(s.clone()),
+                    None => PrecisionPolicy::Fixed(None),
+                };
+                let nat = natural_accuracy(&mut net, &eval, &policy, &mut rng);
+                let mut robs = vec![];
+                for steps in [20usize, 100] {
+                    let attack = Pgd::new(EPS_CIFAR, steps);
+                    robs.push(robust_accuracy(
+                        &mut net, &eval, &attack, &policy, &policy, 12, &mut rng,
+                    ));
+                }
+                let label = if rps {
+                    format!("{}+RPS", method.name())
+                } else {
+                    method.name()
+                };
+                println!(
+                    "{:<18} {:>9} {:>9} {:>9}",
+                    label,
+                    pct(nat),
+                    pct(robs[0]),
+                    pct(robs[1])
+                );
+            }
+        }
+    }
+    println!("\n{paper_note}");
+    println!("robust accuracy over each adversarial-training baseline.");
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! harness: event `j` of peer `p` has global index `j * peers + p`.
 
 use tia_quant::{Precision, PrecisionSet};
-use tia_serve::wire::{Class, Frame, InferRequest, WirePolicy};
+use tia_serve::wire::{Class, Frame, InferRequest, WirePolicy, VERSION};
 use tia_tensor::SeededRng;
 
 /// The one image geometry every chaos run serves: tiny, so a run is
@@ -367,8 +367,9 @@ fn draw_request(id: u64, rng: &mut SeededRng, deadline: Deadline, pinning: Pinni
         }
     };
     let class = match deadline_ms {
-        // v1 frames can only carry Normal; deadlined (v2) traffic spreads
-        // across all classes so the EDF order is actually exercised.
+        // Deadlined traffic spreads across all classes so the EDF order is
+        // actually exercised; the class draw stays conditional on a
+        // deadline so per-seed schedules keep their RNG draw sequence.
         None => Class::Normal,
         Some(_) => *rng.choose(&Class::ALL),
     };
@@ -398,9 +399,9 @@ fn infer(id: u64, rng: &mut SeededRng, deadline: Deadline, pinning: Pinning) -> 
 }
 
 /// An interactive request on the server's seeded schedule, with a
-/// deadline generous enough that it is normally served, not shed (the
-/// class byte only rides v2 — deadlined — frames). These are the requests
-/// [`Schedule::server_policy_ids`] surfaces for the floor check.
+/// deadline generous enough that it is normally served, not shed. These
+/// are the requests [`Schedule::server_policy_ids`] surfaces for the floor
+/// check.
 fn interactive_infer(id: u64, rng: &mut SeededRng) -> Event {
     let pixels: Vec<f32> = (0..PIXELS).map(|_| rng.uniform_in(0.0, 1.0)).collect();
     let bytes = Frame::Infer(InferRequest {
@@ -430,7 +431,7 @@ fn corrupt(id: u64, rng: &mut SeededRng) -> Event {
     let mut bytes = draw_request(id, rng, Deadline::Sometimes, Pinning::Any);
     match rng.below(8) {
         0 => bytes[rng.below(4)] ^= 1 << rng.below(8), // magic
-        1 => bytes[4] = 3 + rng.below(250) as u8,      // version
+        1 => bytes[4] = VERSION ^ (1 + rng.below(255) as u8), // any other version
         2 => bytes[5] = 9 + rng.below(200) as u8,      // kind
         3 => bytes[6 + rng.below(2)] = 1 + rng.below(255) as u8, // reserved
         4 => {

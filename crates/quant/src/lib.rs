@@ -43,5 +43,5 @@ pub use packed::{
 pub use precision::{Precision, PrecisionSet};
 pub use quantizer::{
     fake_quant_affine, fake_quant_affine_slice, fake_quant_symmetric, fake_quant_symmetric_into,
-    AffineParams, LinearQuantizer, QuantMode,
+    AffineParams,
 };

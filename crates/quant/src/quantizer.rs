@@ -3,18 +3,6 @@
 use crate::Precision;
 use tia_tensor::Tensor;
 
-/// Whether a quantizer uses a symmetric (signed, zero-centred) or affine
-/// (asymmetric, zero-point) grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QuantMode {
-    /// Symmetric grid: `q = round(x / s)`, `s = max|x| / (2^{b-1} - 1)`.
-    /// Standard for weights.
-    Symmetric,
-    /// Affine grid: `q = round(x / s) + z` with scale from the `[min, max]`
-    /// range. Standard for activations.
-    Affine,
-}
-
 /// Scale/zero-point pair of an affine quantizer, exposed so accelerator-side
 /// code can fold switchable-BN multiplications into the scale factor exactly
 /// as §2.4 of the paper describes.
@@ -24,54 +12,6 @@ pub struct AffineParams {
     pub scale: f32,
     /// Real value mapped to integer level 0.
     pub zero_point: f32,
-}
-
-/// A per-tensor linear quantizer.
-///
-/// The quantizer is stateless with respect to the data: the grid is derived
-/// from the tensor being quantized (dynamic range calibration), matching the
-/// paper's in-situ precision switch where the same fp32 master weights are
-/// re-quantized to the sampled precision on every iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LinearQuantizer {
-    precision: Precision,
-    mode: QuantMode,
-}
-
-impl LinearQuantizer {
-    /// Creates a symmetric quantizer (weights).
-    pub fn symmetric(precision: Precision) -> Self {
-        Self {
-            precision,
-            mode: QuantMode::Symmetric,
-        }
-    }
-
-    /// Creates an affine quantizer (activations).
-    pub fn affine(precision: Precision) -> Self {
-        Self {
-            precision,
-            mode: QuantMode::Affine,
-        }
-    }
-
-    /// The quantizer's precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// The quantizer's mode.
-    pub fn mode(&self) -> QuantMode {
-        self.mode
-    }
-
-    /// Fake-quantizes a tensor: rounds onto the b-bit grid, returns `f32`.
-    pub fn quantize(&self, x: &Tensor) -> Tensor {
-        match self.mode {
-            QuantMode::Symmetric => fake_quant_symmetric(x, self.precision),
-            QuantMode::Affine => fake_quant_affine(x, self.precision).0,
-        }
-    }
 }
 
 /// Symmetric fake quantization with a per-tensor scale.
@@ -283,15 +223,5 @@ mod tests {
         let x = t(vec![0.0; 8]);
         let q = fake_quant_symmetric(&x, Precision::new(4));
         assert_eq!(q.data(), x.data());
-    }
-
-    #[test]
-    fn quantizer_object_dispatch() {
-        let x = t(vec![-1.0, 1.0]);
-        let q = LinearQuantizer::symmetric(Precision::new(8));
-        assert_eq!(q.precision().bits(), 8);
-        assert_eq!(q.mode(), QuantMode::Symmetric);
-        let y = q.quantize(&x);
-        assert!((y.data()[0] + 1.0).abs() < 1e-6);
     }
 }

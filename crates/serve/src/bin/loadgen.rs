@@ -20,7 +20,7 @@
 //! `--trace FILE` (needs `--metrics-addr`) additionally fetches the
 //! server's Chrome trace-event JSON from `/trace` and writes it to
 //! `FILE` for chrome://tracing / Perfetto. `--deadline-ms` attaches a
-//! relative deadline to every request (frame v2): under overload the
+//! relative deadline to every request: under overload the
 //! server sheds expired requests with `Reject{DeadlineExceeded}`, which
 //! the report counts as deadline-shed rejects, not errors. `--class` sets
 //! the scheduling priority class.

@@ -8,8 +8,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use tia_tensor::{SeededRng, Tensor};
 
-/// Builds an [`Frame::Infer`] from a `[C, H, W]` tensor (no deadline,
-/// normal class — encodes as a v1 frame; see [`infer_frame_with`]).
+/// Builds an [`Frame::Infer`] from a `[C, H, W]` tensor with no deadline
+/// and the normal class (see [`infer_frame_with`] to set them).
 ///
 /// # Panics
 ///
@@ -18,7 +18,7 @@ pub fn infer_frame(id: u64, image: &Tensor, policy: WirePolicy) -> Frame {
     infer_frame_with(id, image, policy, None, Class::Normal)
 }
 
-/// Builds an [`Frame::Infer`] carrying the v2 scheduling fields: a relative
+/// Builds an [`Frame::Infer`] with its scheduling fields set: a relative
 /// response deadline in milliseconds (anchored at server admission) and a
 /// priority class.
 ///

@@ -5,8 +5,8 @@
 //! backpressure, and live observability in front of the deterministic
 //! in-process serving runtime ([`tia_engine::ShardedEngine`]).
 //!
-//! * [`wire`] — a versioned, length-prefixed binary protocol with explicit
-//!   request-id, precision-policy and (frame v2) deadline/priority-class
+//! * [`wire`] — a length-prefixed binary protocol with explicit
+//!   request-id, precision-policy and deadline/priority-class
 //!   fields, and strict malformed-frame rejection.
 //! * [`server`] — the connection acceptor, per-connection reader threads,
 //!   and the deadline-aware EDF batch scheduler that owns the engine's

@@ -14,6 +14,7 @@
 //! for the atomic-ordering lint).
 
 use crate::wire::Class;
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use tia_quant::Precision;
@@ -125,23 +126,11 @@ impl Histogram {
     /// same holds for the stage histograms (`tia_serve_stage_seconds`)
     /// derived from the flight recorder.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, c) in self.counts.iter().enumerate() {
-            // ordering: relaxed — statistical snapshot read.
-            seen += c.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper_us(i).saturating_mul(1000);
-            }
-        }
-        // Unreachable (the loop covers every slot, and `total > 0` means
-        // some slot holds the rank), but keep the fallthrough consistent
-        // with the in-loop conversion: saturating, never silently wrapping.
-        bucket_upper_us(BUCKETS).saturating_mul(1000)
+        // The since-start quantile is the window since an empty baseline.
+        let empty = HistogramBaseline {
+            counts: [0; BUCKETS + 1],
+        };
+        self.quantile_since_ns(&empty, q)
     }
 
     /// Copies the current bucket counts as a baseline for windowed
@@ -179,6 +168,9 @@ impl Histogram {
                 return bucket_upper_us(i).saturating_mul(1000);
             }
         }
+        // Unreachable (the loop covers every slot, and `total > 0` means
+        // some slot holds the rank), but keep the fallthrough consistent
+        // with the in-loop conversion: saturating, never silently wrapping.
         bucket_upper_us(BUCKETS).saturating_mul(1000)
     }
 
@@ -194,36 +186,36 @@ impl Histogram {
     }
 
     /// Renders the histogram in Prometheus `_bucket`/`_sum`/`_count` form
-    /// with `le` bounds in seconds. `labels` is either empty or a
-    /// `key="value",` prefix spliced before the `le` label (the trailing
-    /// comma included).
+    /// with `le` bounds in seconds. `labels` is the series' `key="value"`
+    /// list (empty for an unlabelled one); `le` is appended to it.
     fn render(&self, name: &str, labels: &str, out: &mut String) {
+        // Everything of a bucket line up to the bound, built once.
+        let sep = if labels.is_empty() { "" } else { "," };
+        let bucket = format!("{name}_bucket{{{labels}{sep}le=\"");
         let mut cum = 0u64;
         for i in 0..BUCKETS {
             // ordering: relaxed — statistical snapshot read for a scrape.
             cum += self.counts[i].load(Ordering::Relaxed);
             let le = bucket_upper_us(i) as f64 / 1e6;
-            putln(
-                out,
-                format_args!("{name}_bucket{{{labels}le=\"{le}\"}} {cum}"),
-            );
+            putln(out, format_args!("{bucket}{le}\"}} {cum}"));
         }
         // ordering: relaxed — statistical snapshot read for a scrape.
         cum += self.counts[BUCKETS].load(Ordering::Relaxed);
-        putln(
-            out,
-            format_args!("{name}_bucket{{{labels}le=\"+Inf\"}} {cum}"),
-        );
+        putln(out, format_args!("{bucket}+Inf\"}} {cum}"));
         // ordering: relaxed — statistical snapshot read for a scrape.
         let sum_s = self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9;
-        let plain = labels.trim_end_matches(',');
-        if plain.is_empty() {
-            putln(out, format_args!("{name}_sum {sum_s}"));
-            putln(out, format_args!("{name}_count {cum}"));
-        } else {
-            putln(out, format_args!("{name}_sum{{{plain}}} {sum_s}"));
-            putln(out, format_args!("{name}_count{{{plain}}} {cum}"));
-        }
+        put_sample(out, format_args!("{name}_sum"), labels, sum_s);
+        put_sample(out, format_args!("{name}_count"), labels, cum);
+    }
+}
+
+/// Appends one sample line, `name{labels} value`; an unlabelled series has
+/// no braces.
+fn put_sample(out: &mut String, name: impl Display, labels: &str, value: impl Display) {
+    if labels.is_empty() {
+        putln(out, format_args!("{name} {value}"));
+    } else {
+        putln(out, format_args!("{name}{{{labels}}} {value}"));
     }
 }
 
@@ -429,6 +421,36 @@ impl MetricsSnapshot {
     }
 }
 
+/// Where one series of a [`Family`] reads its sample.
+enum Sample<'a> {
+    /// A counter or gauge cell.
+    Atomic(&'a AtomicU64),
+    /// A whole `_bucket`/`_sum`/`_count` group.
+    Histogram(&'a Histogram),
+    /// A value computed for this scrape, in seconds.
+    Seconds(f64),
+}
+
+/// One metric family of the exposition: its `# HELP`/`# TYPE` header and
+/// the series under it, each a `key="value"` label list (empty for an
+/// unlabelled series) with the sample it renders.
+struct Family<'a> {
+    name: &'static str,
+    help: &'static str,
+    kind: &'static str,
+    series: Vec<(String, Sample<'a>)>,
+}
+
+/// The series of a family whose members differ in the value of the one
+/// label `key`.
+fn by_label<'a, V: Display>(
+    key: &str,
+    series: impl IntoIterator<Item = (V, Sample<'a>)>,
+) -> Vec<(String, Sample<'a>)> {
+    let labelled = |(value, sample)| (format!("{key}=\"{value}\""), sample);
+    series.into_iter().map(labelled).collect()
+}
+
 impl Metrics {
     /// Creates a zeroed registry.
     pub fn new() -> Self {
@@ -505,234 +527,197 @@ impl Metrics {
         out
     }
 
+    /// The one place a metric is declared: every family of the exposition,
+    /// in exposition order, each series bound to the field it reads. A
+    /// family with no series (the exemplar table before the first served
+    /// request) is not rendered.
+    fn families(&self) -> Vec<Family<'_>> {
+        use Sample::{Atomic, Seconds};
+        let one = |sample| vec![(String::new(), sample)];
+        let precisions = self.frames_by_precision.iter().enumerate();
+        let stages = STAGE_NAMES.iter().zip(&self.stage);
+        let exemplars = self.slow_exemplars();
+        let exemplar_series = exemplars.iter().enumerate().flat_map(|(rank, e)| {
+            STAGE_NAMES.iter().zip(e.stage_ns).map(move |(stage, ns)| {
+                let id = e.wire_id;
+                let labels = format!("rank=\"{rank}\",id=\"{id}\",stage=\"{stage}\"");
+                (labels, Seconds(ns as f64 / 1e9))
+            })
+        });
+        vec![
+            Family {
+                name: "tia_serve_requests_total",
+                help: "Inference requests admitted.",
+                kind: "counter",
+                series: one(Atomic(&self.requests_total)),
+            },
+            Family {
+                name: "tia_serve_responses_total",
+                help: "Responses written to clients.",
+                kind: "counter",
+                series: one(Atomic(&self.responses_total)),
+            },
+            Family {
+                name: "tia_serve_bad_frames_total",
+                help: "Undecodable frames received.",
+                kind: "counter",
+                series: one(Atomic(&self.bad_frames_total)),
+            },
+            Family {
+                name: "tia_serve_errored_total",
+                help: "Admitted requests the engine refused at submit.",
+                kind: "counter",
+                series: one(Atomic(&self.errored_total)),
+            },
+            Family {
+                name: "tia_serve_faults_injected_total",
+                help: "Admissions rejected by an injected fault plan.",
+                kind: "counter",
+                series: one(Atomic(&self.faults_injected)),
+            },
+            Family {
+                name: "tia_serve_connections_total",
+                help: "Connections accepted.",
+                kind: "counter",
+                series: one(Atomic(&self.connections_total)),
+            },
+            Family {
+                name: "tia_serve_batches_total",
+                help: "Coalesced micro-batches executed.",
+                kind: "counter",
+                series: one(Atomic(&self.batches_total)),
+            },
+            Family {
+                name: "tia_serve_batch_frames_total",
+                help: "Frames served across all batches.",
+                kind: "counter",
+                series: one(Atomic(&self.batch_frames_total)),
+            },
+            Family {
+                name: "tia_serve_rejected_total",
+                help: "Requests refused by admission control.",
+                kind: "counter",
+                series: by_label(
+                    "reason",
+                    [
+                        ("queue_full", Atomic(&self.rejected_queue_full)),
+                        ("draining", Atomic(&self.rejected_draining)),
+                        ("bad_shape", Atomic(&self.rejected_bad_shape)),
+                        ("deadline_exceeded", Atomic(&self.rejected_deadline)),
+                    ],
+                ),
+            },
+            Family {
+                name: "tia_serve_floor_clamped_total",
+                help: "Submissions whose class floor constrained the degraded window.",
+                kind: "counter",
+                series: one(Atomic(&self.floor_clamped_total)),
+            },
+            Family {
+                name: "tia_serve_degrade_shifts_total",
+                help: "Adaptive controller level shifts.",
+                kind: "counter",
+                series: by_label(
+                    "direction",
+                    [
+                        ("down", Atomic(&self.degrade_shifts_down)),
+                        ("up", Atomic(&self.degrade_shifts_up)),
+                    ],
+                ),
+            },
+            Family {
+                name: "tia_serve_connections_active",
+                help: "Currently open connections.",
+                kind: "gauge",
+                series: one(Atomic(&self.connections_active)),
+            },
+            Family {
+                name: "tia_serve_queue_depth",
+                help: "Admitted requests not yet executed.",
+                kind: "gauge",
+                series: one(Atomic(&self.queue_depth)),
+            },
+            Family {
+                name: "tia_serve_readers_live",
+                help: "Reader threads currently alive.",
+                kind: "gauge",
+                series: one(Atomic(&self.readers_live)),
+            },
+            Family {
+                name: "tia_serve_degrade_level",
+                help: "Adaptive controller's live degradation level.",
+                kind: "gauge",
+                series: one(Atomic(&self.degrade_level)),
+            },
+            Family {
+                name: "tia_serve_frames_by_precision_total",
+                help: "Served frames per execution precision.",
+                kind: "counter",
+                series: by_label(
+                    "precision",
+                    precisions.map(|(slot, v)| match slot {
+                        0 => ("fp32".to_string(), Atomic(v)),
+                        _ => (format!("{slot}-bit"), Atomic(v)),
+                    }),
+                ),
+            },
+            Family {
+                name: "tia_serve_request_latency_seconds",
+                help: "End-to-end request latency.",
+                kind: "histogram",
+                series: one(Sample::Histogram(&self.latency)),
+            },
+            Family {
+                name: "tia_serve_class_latency_seconds",
+                help: "End-to-end request latency per scheduling class.",
+                kind: "histogram",
+                series: by_label(
+                    "class",
+                    Class::ALL.map(|class| {
+                        let h = &self.latency_by_class[class.as_u8() as usize];
+                        (class.label(), Sample::Histogram(h))
+                    }),
+                ),
+            },
+            Family {
+                name: "tia_serve_stage_seconds",
+                help: "Server-side per-stage request latency (log2 buckets; quantiles report the bucket's inclusive upper bound).",
+                kind: "histogram",
+                series: by_label(
+                    "stage",
+                    stages.map(|(stage, h)| (stage, Sample::Histogram(h))),
+                ),
+            },
+            Family {
+                name: "tia_serve_slow_request_seconds",
+                help: "Stage breakdown of the slowest served requests (exemplar table, rank 0 slowest).",
+                kind: "gauge",
+                series: exemplar_series.collect(),
+            },
+        ]
+    }
+
     /// Renders the whole registry in Prometheus text exposition format
-    /// (version 0.0.4).
+    /// (version 0.0.4): a loop over the family table.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, v: u64| {
-            putln(&mut out, format_args!("# HELP {name} {help}"));
-            putln(&mut out, format_args!("# TYPE {name} counter"));
-            putln(&mut out, format_args!("{name} {v}"));
-        };
-        counter(
-            "tia_serve_requests_total",
-            "Inference requests admitted.",
-            self.requests_total.load(Ordering::Relaxed), // ordering: relaxed — scrape snapshot.
-        );
-        counter(
-            "tia_serve_responses_total",
-            "Responses written to clients.",
-            self.responses_total.load(Ordering::Relaxed), // ordering: relaxed — scrape snapshot.
-        );
-        counter(
-            "tia_serve_bad_frames_total",
-            "Undecodable frames received.",
-            self.bad_frames_total.load(Ordering::Relaxed), // ordering: relaxed — scrape snapshot.
-        );
-        counter(
-            "tia_serve_errored_total",
-            "Admitted requests the engine refused at submit.",
-            self.errored_total.load(Ordering::Relaxed), // ordering: relaxed — scrape snapshot.
-        );
-        counter(
-            "tia_serve_faults_injected_total",
-            "Admissions rejected by an injected fault plan.",
-            self.faults_injected.load(Ordering::Relaxed), // ordering: relaxed — scrape snapshot.
-        );
-        counter(
-            "tia_serve_connections_total",
-            "Connections accepted.",
-            self.connections_total.load(Ordering::Relaxed), // ordering: relaxed — scrape snapshot.
-        );
-        counter(
-            "tia_serve_batches_total",
-            "Coalesced micro-batches executed.",
-            self.batches_total.load(Ordering::Relaxed), // ordering: relaxed — scrape snapshot.
-        );
-        counter(
-            "tia_serve_batch_frames_total",
-            "Frames served across all batches.",
-            self.batch_frames_total.load(Ordering::Relaxed), // ordering: relaxed — scrape snapshot.
-        );
-        putln(
-            &mut out,
-            format_args!("# HELP tia_serve_rejected_total Requests refused by admission control."),
-        );
-        putln(
-            &mut out,
-            format_args!("# TYPE tia_serve_rejected_total counter"),
-        );
-        for (reason, v) in [
-            ("queue_full", &self.rejected_queue_full),
-            ("draining", &self.rejected_draining),
-            ("bad_shape", &self.rejected_bad_shape),
-            ("deadline_exceeded", &self.rejected_deadline),
-        ] {
-            putln(
-                &mut out,
-                format_args!(
-                    "tia_serve_rejected_total{{reason=\"{reason}\"}} {}",
-                    v.load(Ordering::Relaxed) // ordering: relaxed — scrape snapshot.
-                ),
-            );
-        }
-        putln(
-            &mut out,
-            format_args!(
-                "# HELP tia_serve_floor_clamped_total Submissions whose class floor constrained the degraded window."
-            ),
-        );
-        putln(
-            &mut out,
-            format_args!("# TYPE tia_serve_floor_clamped_total counter"),
-        );
-        putln(
-            &mut out,
-            format_args!(
-                "tia_serve_floor_clamped_total {}",
-                self.floor_clamped_total.load(Ordering::Relaxed) // ordering: relaxed — scrape snapshot.
-            ),
-        );
-        putln(
-            &mut out,
-            format_args!("# HELP tia_serve_degrade_shifts_total Adaptive controller level shifts."),
-        );
-        putln(
-            &mut out,
-            format_args!("# TYPE tia_serve_degrade_shifts_total counter"),
-        );
-        for (direction, v) in [
-            ("down", &self.degrade_shifts_down),
-            ("up", &self.degrade_shifts_up),
-        ] {
-            putln(
-                &mut out,
-                format_args!(
-                    "tia_serve_degrade_shifts_total{{direction=\"{direction}\"}} {}",
-                    v.load(Ordering::Relaxed) // ordering: relaxed — scrape snapshot.
-                ),
-            );
-        }
-        for (name, help, v) in [
-            (
-                "tia_serve_connections_active",
-                "Currently open connections.",
-                &self.connections_active,
-            ),
-            (
-                "tia_serve_queue_depth",
-                "Admitted requests not yet executed.",
-                &self.queue_depth,
-            ),
-            (
-                "tia_serve_readers_live",
-                "Reader threads currently alive.",
-                &self.readers_live,
-            ),
-            (
-                "tia_serve_degrade_level",
-                "Adaptive controller's live degradation level.",
-                &self.degrade_level,
-            ),
-        ] {
-            putln(&mut out, format_args!("# HELP {name} {help}"));
-            putln(&mut out, format_args!("# TYPE {name} gauge"));
-            putln(
-                &mut out,
-                // ordering: relaxed — scrape snapshot of a gauge.
-                format_args!("{name} {}", v.load(Ordering::Relaxed)),
-            );
-        }
-        putln(
-            &mut out,
-            format_args!(
-                "# HELP tia_serve_frames_by_precision_total Served frames per execution precision."
-            ),
-        );
-        putln(
-            &mut out,
-            format_args!("# TYPE tia_serve_frames_by_precision_total counter"),
-        );
-        for (slot, v) in self.frames_by_precision.iter().enumerate() {
-            let label = if slot == 0 {
-                "fp32".to_string()
-            } else {
-                format!("{slot}-bit")
-            };
-            putln(
-                &mut out,
-                format_args!(
-                    "tia_serve_frames_by_precision_total{{precision=\"{label}\"}} {}",
-                    v.load(Ordering::Relaxed) // ordering: relaxed — scrape snapshot.
-                ),
-            );
-        }
-        putln(
-            &mut out,
-            format_args!("# HELP tia_serve_request_latency_seconds End-to-end request latency."),
-        );
-        putln(
-            &mut out,
-            format_args!("# TYPE tia_serve_request_latency_seconds histogram"),
-        );
-        self.latency
-            .render("tia_serve_request_latency_seconds", "", &mut out);
-        putln(
-            &mut out,
-            format_args!(
-                "# HELP tia_serve_class_latency_seconds End-to-end request latency per scheduling class."
-            ),
-        );
-        putln(
-            &mut out,
-            format_args!("# TYPE tia_serve_class_latency_seconds histogram"),
-        );
-        for class in Class::ALL {
-            self.latency_by_class[class.as_u8() as usize].render(
-                "tia_serve_class_latency_seconds",
-                &format!("class=\"{}\",", class.label()),
-                &mut out,
-            );
-        }
-        putln(
-            &mut out,
-            format_args!(
-                "# HELP tia_serve_stage_seconds Server-side per-stage request latency (log2 buckets; quantiles report the bucket's inclusive upper bound)."
-            ),
-        );
-        putln(
-            &mut out,
-            format_args!("# TYPE tia_serve_stage_seconds histogram"),
-        );
-        for (i, name) in STAGE_NAMES.iter().enumerate() {
-            self.stage[i].render(
-                "tia_serve_stage_seconds",
-                &format!("stage=\"{name}\","),
-                &mut out,
-            );
-        }
-        let exemplars = self.slow_exemplars();
-        if !exemplars.is_empty() {
-            putln(
-                &mut out,
-                format_args!(
-                    "# HELP tia_serve_slow_request_seconds Stage breakdown of the slowest served requests (exemplar table, rank 0 slowest)."
-                ),
-            );
-            putln(
-                &mut out,
-                format_args!("# TYPE tia_serve_slow_request_seconds gauge"),
-            );
-            for (rank, e) in exemplars.iter().enumerate() {
-                for (i, name) in STAGE_NAMES.iter().enumerate() {
-                    putln(
-                        &mut out,
-                        format_args!(
-                            "tia_serve_slow_request_seconds{{rank=\"{rank}\",id=\"{}\",stage=\"{name}\"}} {}",
-                            e.wire_id,
-                            e.stage_ns[i] as f64 / 1e9
-                        ),
-                    );
+        for family in self.families() {
+            if family.series.is_empty() {
+                continue;
+            }
+            let name = family.name;
+            putln(&mut out, format_args!("# HELP {name} {}", family.help));
+            putln(&mut out, format_args!("# TYPE {name} {}", family.kind));
+            for (labels, sample) in &family.series {
+                match sample {
+                    Sample::Histogram(h) => h.render(name, labels, &mut out),
+                    Sample::Seconds(s) => put_sample(&mut out, name, labels, s),
+                    Sample::Atomic(v) => {
+                        // ordering: relaxed — scrape snapshot of an independent
+                        // statistic; no decision hangs on it.
+                        let v = v.load(Ordering::Relaxed);
+                        put_sample(&mut out, name, labels, v);
+                    }
                 }
             }
         }

@@ -27,7 +27,7 @@
 //!
 //! The batcher is an earliest-deadline-first (EDF) dynamic batcher, not a
 //! plain FIFO. Requests may carry a relative deadline and a priority
-//! class (wire frame v2); the scheduler:
+//! class on the wire; the scheduler:
 //!
 //! * orders the window by `(class rank, deadline, arrival)` — interactive
 //!   before normal before batch; within a class, earliest deadline first;

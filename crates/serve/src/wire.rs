@@ -1,4 +1,4 @@
-//! The versioned, length-prefixed binary wire protocol.
+//! The length-prefixed binary wire protocol.
 //!
 //! # Frame layout
 //!
@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  = b"TIAS"
-//! 4       1     version = 1 or 2 (per frame; see versioning below)
+//! 4       1     version = 2 (the only one; see below)
 //! 5       1     kind (see below)
 //! 6       2     reserved, must be 0
 //! 8       4     payload length in bytes (u32 LE, <= 64 MiB)
@@ -18,8 +18,7 @@
 //!
 //! | kind | frame | payload |
 //! |---|---|---|
-//! | 1 | `Infer` (v1) | `id: u64`, policy, `shape: 3 × u32`, `C·H·W × f32` pixels |
-//! | 1 | `Infer` (v2) | `id: u64`, `deadline_ms: u32` (0 = none), `class: u8`, policy, shape, pixels |
+//! | 1 | `Infer` | `id: u64`, `deadline_ms: u32` (0 = none), `class: u8`, policy, `shape: 3 × u32`, `C·H·W × f32` pixels |
 //! | 2 | `Logits` | `id: u64`, `precision: u8`, `top1: u32`, `n: u32`, `n × f32` |
 //! | 3 | `Reject` | `id: u64`, `code: u8` — admission control (503-style) |
 //! | 4 | `Error` | `msg: u16 len + UTF-8` — protocol violation, stream is dead |
@@ -28,20 +27,18 @@
 //! | 7 | `Shutdown` | empty — ask the server to drain and exit |
 //! | 8 | `ShutdownAck` | empty — drain complete, connection closes next |
 //!
-//! # Versioning
+//! # One version
 //!
-//! The version byte is per *frame*, not per connection. Version 2 extends
-//! only the `Infer` payload with two scheduling fields immediately after
+//! Every frame is stamped [`VERSION`] and there is one payload layout per
+//! kind. An `Infer` always carries its two scheduling fields right after
 //! the request id: a **relative deadline** in milliseconds (`u32`, `0` =
 //! no deadline, anchored at server admission) and a **priority class**
-//! (`0` = normal, `1` = interactive, `2` = batch). Every other kind has
-//! the same payload layout under both versions.
-//!
-//! Compatibility rule: decoders accept both versions — a v1 `Infer` frame
-//! decodes as "no deadline, normal class". Encoders emit the lowest
-//! version that can represent the frame: an `Infer` with no deadline and
-//! normal class is encoded as v1 (byte-identical to protocol-v1 peers),
-//! anything carrying scheduling fields as v2.
+//! (`0` = normal, `1` = interactive, `2` = batch) — 5 bytes on a frame of
+//! 3 KiB or more. Every peer that speaks this protocol (`Client`,
+//! `tia-loadgen`, `tia-chaos`, the repo benchmark) is built from this
+//! repository, so no older layout is accepted: any other version byte is
+//! [`WireError::BadVersion`], fatal to that connection like every other
+//! framing error.
 //!
 //! Precisions on the wire are a single `u8`: `0` = full precision (fp32),
 //! `1..=16` = quantized bit-width. The request's *policy* field selects how
@@ -60,12 +57,8 @@ use tia_quant::{Precision, PrecisionSet};
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"TIAS";
-/// Highest protocol version this build speaks (frame v2: per-request
-/// deadline and priority class on `Infer`).
+/// The protocol version every frame carries; no other is accepted.
 pub const VERSION: u8 = 2;
-/// Lowest protocol version still accepted (v1 `Infer` frames decode as
-/// "no deadline, normal class").
-pub const MIN_VERSION: u8 = 1;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 12;
 /// Hard cap on a frame's payload; larger length fields are rejected before
@@ -165,8 +158,7 @@ impl RejectCode {
 /// earlier deadlines go first and deadline-less requests keep FIFO order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Class {
-    /// The default class (wire byte `0`) — and the only one a v1 frame can
-    /// express.
+    /// The default class (wire byte `0`).
     #[default]
     Normal,
     /// Latency-sensitive traffic, scheduled ahead of `Normal` (wire `1`).
@@ -232,20 +224,12 @@ pub struct InferRequest {
     /// the wire — the zero byte means "no deadline" — and round-trips as
     /// `None`.)
     pub deadline_ms: Option<u32>,
-    /// Scheduling priority class (v1 frames always carry [`Class::Normal`]).
+    /// Scheduling priority class.
     pub class: Class,
     /// Image geometry `[C, H, W]`.
     pub shape: [usize; 3],
     /// Row-major pixel data, exactly `C·H·W` values.
     pub pixels: Vec<f32>,
-}
-
-impl InferRequest {
-    /// Whether this request needs the v2 payload layout (any scheduling
-    /// field set); otherwise it encodes as v1 for compatibility.
-    fn needs_v2(&self) -> bool {
-        self.deadline_ms.unwrap_or(0) != 0 || self.class != Class::Normal
-    }
 }
 
 /// A completed inference: logits, top-1 class, and the precision the
@@ -306,27 +290,14 @@ impl Frame {
         }
     }
 
-    /// The lowest protocol version that can represent this frame: only an
-    /// [`Frame::Infer`] carrying a deadline or a non-default class needs v2.
-    fn version(&self) -> u8 {
-        match self {
-            Frame::Infer(req) if req.needs_v2() => 2,
-            _ => 1,
-        }
-    }
-
-    /// Serializes the frame (header + payload) into a fresh buffer, at the
-    /// lowest protocol version that can represent it (see the
-    /// [module docs](self) on versioning).
+    /// Serializes the frame (header + payload) into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
         match self {
             Frame::Infer(req) => {
                 payload.extend_from_slice(&req.id.to_le_bytes());
-                if req.needs_v2() {
-                    payload.extend_from_slice(&req.deadline_ms.unwrap_or(0).to_le_bytes());
-                    payload.push(req.class.as_u8());
-                }
+                payload.extend_from_slice(&req.deadline_ms.unwrap_or(0).to_le_bytes());
+                payload.push(req.class.as_u8());
                 encode_policy(&req.policy, &mut payload);
                 for &d in &req.shape {
                     payload.extend_from_slice(&(d as u32).to_le_bytes());
@@ -358,7 +329,7 @@ impl Frame {
         }
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&MAGIC);
-        out.push(self.version());
+        out.push(VERSION);
         out.push(self.kind());
         out.extend_from_slice(&[0, 0]);
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -377,7 +348,7 @@ impl Frame {
         if buf.len() < HEADER_LEN + payload_len {
             return Err(WireError::Truncated);
         }
-        let frame = decode_payload(buf[4], buf[5], &buf[HEADER_LEN..HEADER_LEN + payload_len])?;
+        let frame = decode_payload(buf[5], &buf[HEADER_LEN..HEADER_LEN + payload_len])?;
         Ok((frame, HEADER_LEN + payload_len))
     }
 
@@ -410,7 +381,7 @@ impl Frame {
                 WireError::Io(e)
             }
         })?;
-        decode_payload(header[4], header[5], &payload)
+        decode_payload(header[5], &payload)
     }
 }
 
@@ -419,7 +390,7 @@ fn check_header(h: &[u8]) -> Result<usize, WireError> {
     if h[..4] != MAGIC {
         return Err(WireError::BadMagic([h[0], h[1], h[2], h[3]]));
     }
-    if !(MIN_VERSION..=VERSION).contains(&h[4]) {
+    if h[4] != VERSION {
         return Err(WireError::BadVersion(h[4]));
     }
     if !(1..=8).contains(&h[5]) {
@@ -435,20 +406,13 @@ fn check_header(h: &[u8]) -> Result<usize, WireError> {
     Ok(payload_len)
 }
 
-fn decode_payload(version: u8, kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
+fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
     let mut c = Cursor::new(payload);
     let frame = match kind {
         1 => {
             let id = c.u64()?;
-            // v2 inserts the scheduling fields right after the id; a v1
-            // frame simply has neither: no deadline, normal class.
-            let (deadline_ms, class) = if version >= 2 {
-                let ms = c.u32()?;
-                let class = Class::from_u8(c.u8()?)?;
-                (if ms == 0 { None } else { Some(ms) }, class)
-            } else {
-                (None, Class::Normal)
-            };
+            let deadline_ms = Some(c.u32()?).filter(|&ms| ms != 0);
+            let class = Class::from_u8(c.u8()?)?;
             let policy = decode_policy(&mut c)?;
             let shape = [c.u32()? as usize, c.u32()? as usize, c.u32()? as usize];
             // Hostile dimensions must not overflow the element count; any

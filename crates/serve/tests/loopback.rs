@@ -3,10 +3,11 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tia_engine::{EngineConfig, PrecisionPolicy, ShardedEngine};
 use tia_nn::zoo;
 use tia_quant::{Precision, PrecisionSet};
+use tia_serve::metrics::STAGE_TOTAL;
 use tia_serve::wire::{Class, Frame, InferResponse, RejectCode, WireError};
 use tia_serve::{
     fetch_metrics, infer_frame, infer_frame_with, Client, Clock, ControlConfig, LoadConfig, Server,
@@ -31,6 +32,27 @@ fn base_config() -> ServerConfig {
 fn images(n: usize, seed: u64) -> Tensor {
     let mut rng = SeededRng::new(seed);
     Tensor::rand_uniform(&[n, SHAPE[0], SHAPE[1], SHAPE[2]], 0.0, 1.0, &mut rng)
+}
+
+/// Spins (bounded, no sleep) until `ready` holds: the server counts an
+/// event *after* a client can observe it, so a test that reads a counter
+/// waits for that write, not for wall time.
+fn await_server(what: &str, ready: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !ready() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// Waits until the server's ledger has caught up with `n` requests the
+/// client already holds answers to: the reader counts an admission after
+/// the enqueue (so the batcher can answer first), and the batcher records
+/// the end-to-end stage sample last of all it writes per response.
+fn await_accounted(m: &tia_serve::Metrics, n: u64) {
+    await_server("every answered request to be accounted", || {
+        m.snapshot().admitted == n && m.stage[STAGE_TOTAL].count() == n
+    });
 }
 
 /// The acceptance criterion of the subsystem: logits served over TCP are
@@ -314,6 +336,7 @@ fn metrics_endpoint_serves_prometheus_text() {
     assert_eq!(report.errors, 0);
     assert!(report.latency.count() == 10 && report.rps() > 0.0);
 
+    await_accounted(server.metrics(), 10);
     let text = fetch_metrics(metrics_addr).unwrap();
     assert!(text.contains("tia_serve_requests_total 10"), "{text}");
     assert!(text.contains("tia_serve_responses_total 10"), "{text}");
@@ -505,24 +528,9 @@ fn manual_clock_expires_deadlines_without_wall_time() {
         .unwrap();
     // Wait until both requests are admitted (the reader thread stamps their
     // enqueue time from the manual clock, which is still at zero).
-    let metrics = server.metrics();
-    for _ in 0..1000 {
-        if metrics
-            .queue_depth
-            .load(std::sync::atomic::Ordering::Relaxed)
-            == 2
-        {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(
-        metrics
-            .queue_depth
-            .load(std::sync::atomic::Ordering::Relaxed),
-        2,
-        "requests were not admitted"
-    );
+    await_server("both requests to be admitted", || {
+        server.metrics().snapshot().queue_depth == 2
+    });
     // 50 virtual milliseconds pass; only the deadlined request expires.
     clock.advance(Duration::from_millis(50));
     server.resume();
@@ -679,7 +687,11 @@ fn interactive_request_overtakes_a_queued_backlog() {
 #[test]
 fn shutdown_races_inflight_submissions_across_connections() {
     const RACERS: usize = 50;
-    let server = Server::spawn(base_config().paused(), |_| replica()).unwrap();
+    let clock = Clock::manual();
+    let server = Server::spawn(base_config().paused().with_clock(clock.clone()), |_| {
+        replica()
+    })
+    .unwrap();
     let x = images(8, 24);
 
     // Connection A: two plain requests plus two whose 1 ms deadline will
@@ -696,6 +708,13 @@ fn shutdown_races_inflight_submissions_across_connections() {
             ))
             .unwrap();
     }
+    // A's reader runs on its own thread: without this wait B's Shutdown can
+    // set the drain flag first and A is refused `Draining` at admission.
+    // Once all four are in, virtual time expires the two deadlines.
+    await_server("A's four requests to be admitted", || {
+        server.metrics().snapshot().admitted == 4
+    });
+    clock.advance(Duration::from_millis(50));
 
     // Connection C: a racer pipelining submissions while the shutdown
     // lands. Admission is racy by construction; the invariant is that
@@ -745,7 +764,6 @@ fn shutdown_races_inflight_submissions_across_connections() {
             .unwrap();
     }
     conn_b.send(&Frame::Shutdown).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
     server.resume();
 
     // B: exactly 3 logits, then exactly one ack, then a closed socket.
@@ -908,23 +926,9 @@ fn adaptive_degradation_respects_per_class_floors() {
             .unwrap();
     }
     let metrics = server.metrics_handle();
-    for _ in 0..1000 {
-        if metrics
-            .queue_depth
-            .load(std::sync::atomic::Ordering::Relaxed)
-            == BACKLOG as u64
-        {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(
-        metrics
-            .queue_depth
-            .load(std::sync::atomic::Ordering::Relaxed),
-        BACKLOG as u64,
-        "backlog was not admitted"
-    );
+    await_server("the backlog to be admitted", || {
+        metrics.snapshot().queue_depth == BACKLOG as u64
+    });
     server.resume();
 
     let mut normals: Vec<InferResponse> = (0..BACKLOG)
@@ -1022,17 +1026,9 @@ fn adaptive_runs_are_bitwise_deterministic_per_seed() {
                 ))
                 .unwrap();
         }
-        let metrics = server.metrics();
-        for _ in 0..1000 {
-            if metrics
-                .queue_depth
-                .load(std::sync::atomic::Ordering::Relaxed)
-                == N as u64
-            {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        await_server("every request to be admitted", || {
+            server.metrics().snapshot().queue_depth == N as u64
+        });
         server.resume();
         let mut got: Vec<InferResponse> = (0..N)
             .map(|_| match client.recv().unwrap() {
@@ -1320,6 +1316,7 @@ fn trace_endpoint_serves_chrome_trace_json() {
     .unwrap();
     assert_eq!(report.ok, N as u64);
 
+    await_accounted(server.metrics(), N as u64);
     let json = tia_serve::fetch_trace(metrics_addr).unwrap();
     assert!(
         json.starts_with('[') && json.trim_end().ends_with(']'),

@@ -8,7 +8,7 @@
 
 use tia_quant::{Precision, PrecisionSet};
 use tia_serve::wire::{
-    Class, Frame, InferRequest, InferResponse, RejectCode, WireError, HEADER_LEN,
+    Class, Frame, InferRequest, InferResponse, RejectCode, WireError, HEADER_LEN, VERSION,
 };
 use tia_serve::WirePolicy;
 use tia_tensor::SeededRng;
@@ -60,8 +60,8 @@ fn roundtrip(frame: &Frame) {
 
 #[test]
 fn infer_round_trips_for_every_policy_variant() {
-    // Scheduling-field combinations: the plain one encodes as frame v1,
-    // everything carrying a deadline or a non-default class as v2.
+    // Scheduling-field combinations, the plain one included: all of them
+    // travel through the one `Infer` layout.
     let scheduling = [
         (None, Class::Normal),
         (Some(5u32), Class::Normal),
@@ -84,17 +84,6 @@ fn infer_round_trips_for_every_policy_variant() {
             pixels: rand_pixels(n, &mut rng),
         });
         roundtrip(&frame);
-        // Encoders emit the lowest version that can represent the frame.
-        let want_version = if deadline_ms.is_some() || class != Class::Normal {
-            2
-        } else {
-            1
-        };
-        assert_eq!(
-            frame.encode()[4],
-            want_version,
-            "wrong version byte for deadline {deadline_ms:?} class {class:?}"
-        );
         // Also exercise tiny and single-pixel geometries now and then.
         if i % 3 == 0 {
             roundtrip(&Frame::Infer(InferRequest {
@@ -109,30 +98,66 @@ fn infer_round_trips_for_every_policy_variant() {
     }
 }
 
-/// The frame-version compatibility rule: a v1 `Infer` payload (no
-/// scheduling fields) must keep decoding, as "no deadline, normal class".
-#[test]
-fn v1_infer_frames_decode_as_no_deadline_normal_class() {
-    let mut rng = SeededRng::new(16);
-    let plain = InferRequest {
-        id: 31,
-        policy: WirePolicy::Fixed(Some(Precision::new(6))),
-        deadline_ms: None,
-        class: Class::Normal,
-        shape: [2, 3, 3],
-        pixels: rand_pixels(18, &mut rng),
-    };
-    let bytes = Frame::Infer(plain.clone()).encode();
-    assert_eq!(bytes[4], 1, "a plain request encodes as v1");
-    let (decoded, _) = Frame::decode(&bytes).unwrap();
-    assert_eq!(decoded, Frame::Infer(plain));
+/// One frame of every kind the protocol defines.
+fn one_of_each_kind() -> Vec<Frame> {
+    vec![
+        Frame::Infer(InferRequest {
+            id: 31,
+            policy: WirePolicy::Fixed(Some(Precision::new(6))),
+            deadline_ms: None,
+            class: Class::Normal,
+            shape: [1, 2, 2],
+            pixels: vec![0.5; 4],
+        }),
+        Frame::Logits(InferResponse {
+            id: 31,
+            precision: Some(Precision::new(6)),
+            top1: 1,
+            logits: vec![0.25, 0.75],
+        }),
+        Frame::Reject {
+            id: 31,
+            code: RejectCode::Draining,
+        },
+        Frame::Error {
+            msg: "one of each".to_string(),
+        },
+        Frame::Ping,
+        Frame::Pong,
+        Frame::Shutdown,
+        Frame::ShutdownAck,
+    ]
 }
 
-/// A hand-rolled v2 layout (deadline + class spliced after the id, version
-/// byte bumped) decodes to the same request with the fields populated —
-/// including the zero deadline byte meaning "no deadline".
+/// There is one protocol version: every kind is stamped with it, and any
+/// other header byte — 1 included — is a typed `BadVersion` on both the
+/// slice and the stream path, whatever the kind.
 #[test]
-fn v2_layout_decodes_scheduling_fields() {
+fn every_kind_encodes_version_2_and_any_other_version_is_rejected() {
+    assert_eq!(VERSION, 2);
+    for frame in one_of_each_kind() {
+        let bytes = frame.encode();
+        assert_eq!(bytes[4], VERSION, "{frame:?} stamped with another version");
+        for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+            let mut bad = bytes.clone();
+            bad[4] = version;
+            assert!(
+                matches!(Frame::decode(&bad), Err(WireError::BadVersion(v)) if v == version),
+                "version {version} accepted for {frame:?}"
+            );
+            assert!(matches!(
+                Frame::read_from(&mut &bad[..]),
+                Err(WireError::BadVersion(v)) if v == version
+            ));
+        }
+    }
+}
+
+/// The one `Infer` layout: `deadline_ms: u32` and `class: u8` sit right
+/// after the 8-byte id, a request with neither set carries five zero bytes
+/// there, and the zero deadline means "no deadline".
+#[test]
+fn infer_layout_carries_scheduling_fields() {
     let mut rng = SeededRng::new(17);
     let plain = InferRequest {
         id: 32,
@@ -142,50 +167,39 @@ fn v2_layout_decodes_scheduling_fields() {
         shape: [1, 2, 2],
         pixels: rand_pixels(4, &mut rng),
     };
-    let v1 = Frame::Infer(plain.clone()).encode();
-    // Splice `deadline_ms: u32 = 7, class: u8 = 2` after the 8-byte id.
-    let mut v2 = Vec::new();
-    v2.extend_from_slice(&v1[..HEADER_LEN + 8]);
-    v2.extend_from_slice(&7u32.to_le_bytes());
-    v2.push(2); // batch class
-    v2.extend_from_slice(&v1[HEADER_LEN + 8..]);
-    v2[4] = 2; // version
-    v2[8..12].copy_from_slice(&((v1.len() - HEADER_LEN + 5) as u32).to_le_bytes());
-    match Frame::decode(&v2).unwrap().0 {
-        Frame::Infer(req) => {
-            assert_eq!(req.deadline_ms, Some(7));
-            assert_eq!(req.class, Class::Batch);
-            assert_eq!(req.pixels, plain.pixels);
-        }
-        other => panic!("expected Infer, got {other:?}"),
-    }
+    let bytes = Frame::Infer(plain.clone()).encode();
+    let fields = HEADER_LEN + 8..HEADER_LEN + 13;
+    assert_eq!(bytes[fields.clone()], [0u8; 5]);
+    assert_eq!(
+        Frame::decode(&bytes).unwrap().0,
+        Frame::Infer(plain.clone())
+    );
 
-    // Zero deadline on the wire = no deadline.
-    let mut zero = v2.clone();
-    zero[HEADER_LEN + 8..HEADER_LEN + 12].copy_from_slice(&0u32.to_le_bytes());
-    match Frame::decode(&zero).unwrap().0 {
-        Frame::Infer(req) => assert_eq!(req.deadline_ms, None),
-        other => panic!("expected Infer, got {other:?}"),
-    }
+    // `Some(0)` is not representable: it encodes as, and decodes to, `None`.
+    let zero = Frame::Infer(InferRequest {
+        deadline_ms: Some(0),
+        ..plain.clone()
+    });
+    assert_eq!(zero.encode(), bytes);
+
+    // Patch `deadline_ms = 7, class = batch` into the same bytes.
+    let mut set = bytes.clone();
+    set[fields.clone()].copy_from_slice(&[7, 0, 0, 0, 2]);
+    let want = InferRequest {
+        deadline_ms: Some(7),
+        class: Class::Batch,
+        ..plain
+    };
+    assert_eq!(Frame::decode(&set).unwrap().0, Frame::Infer(want.clone()));
+    assert_eq!(Frame::Infer(want).encode(), set);
 
     // An out-of-range class byte is strictly rejected.
-    let mut bad_class = v2.clone();
-    bad_class[HEADER_LEN + 12] = 3;
+    let mut bad_class = set.clone();
+    bad_class[fields.end - 1] = 3;
     assert!(matches!(
         Frame::decode(&bad_class),
         Err(WireError::Malformed(_))
     ));
-
-    // A v1 header with the v2 payload has 5 unexplained bytes: rejected,
-    // never misparsed.
-    let mut v1_header = v2.clone();
-    v1_header[4] = 1;
-    assert!(Frame::decode(&v1_header).is_err());
-
-    // Versions outside [MIN_VERSION, VERSION] stay rejected.
-    let mut v3 = v2.clone();
-    v3[4] = 3;
-    assert!(matches!(Frame::decode(&v3), Err(WireError::BadVersion(3))));
 }
 
 #[test]
@@ -212,13 +226,7 @@ fn control_frames_round_trip() {
     ] {
         roundtrip(&Frame::Reject { id: 77, code });
     }
-    roundtrip(&Frame::Error {
-        msg: "queue exploded (not really)".to_string(),
-    });
-    roundtrip(&Frame::Ping);
-    roundtrip(&Frame::Pong);
-    roundtrip(&Frame::Shutdown);
-    roundtrip(&Frame::ShutdownAck);
+    one_of_each_kind().iter().for_each(roundtrip);
 }
 
 #[test]
@@ -227,15 +235,14 @@ fn every_truncation_of_a_frame_is_rejected() {
     let frame = Frame::Infer(InferRequest {
         id: 42,
         policy: WirePolicy::Random(PrecisionSet::range(4, 8)),
-        // Scheduling fields set, so this exercises the v2 layout's
-        // truncation points too (mid-deadline, mid-class).
+        // Non-zero scheduling fields, so a cut mid-deadline or mid-class
+        // cannot hide behind zero bytes.
         deadline_ms: Some(40),
         class: Class::Interactive,
         shape: [2, 3, 3],
         pixels: rand_pixels(18, &mut rng),
     });
     let bytes = frame.encode();
-    assert_eq!(bytes[4], 2, "scheduling fields force the v2 layout");
     for len in 0..bytes.len() {
         match Frame::decode(&bytes[..len]) {
             Err(WireError::Truncated) => {}
@@ -268,22 +275,14 @@ fn corrupting_any_header_byte_never_panics_and_structural_bytes_reject() {
         logits: rand_pixels(5, &mut rng),
     });
     let bytes = frame.encode();
-    assert_eq!(bytes[4], 1, "a Logits frame always encodes as v1");
     // Flip every byte of the frame through a few corruption values: the
     // decoder must never panic, and corruption of magic/version/kind or the
-    // reserved bytes must be rejected outright. The one benign header flip
-    // is version 1 -> 2 — both are accepted, and a Logits payload has the
-    // identical layout under both, so the frame must decode *unchanged*.
+    // reserved bytes must be rejected outright.
     for pos in 0..bytes.len() {
         for delta in [1u8, 0x80, 0xFF] {
             let mut bad = bytes.clone();
             bad[pos] = bad[pos].wrapping_add(delta);
             let result = Frame::decode(&bad);
-            if pos == 4 && bad[4] == 2 {
-                let (f, _) = result.expect("v2 header over a v1-layout payload");
-                assert_eq!(f, frame, "version bump must not change the decode");
-                continue;
-            }
             if pos < 8 {
                 assert!(result.is_err(), "header byte {pos} corruption accepted");
             }
@@ -324,7 +323,7 @@ fn payload_validation_rejects_bad_fields() {
     .encode();
     let mut bad = infer.clone();
     // Grow the claimed width: shape says more pixels than the payload has.
-    let shape_off = HEADER_LEN + 8 + 1; // id + policy tag
+    let shape_off = HEADER_LEN + 8 + 5 + 1; // id + deadline + class + policy tag
     bad[shape_off] = 3;
     assert!(matches!(Frame::decode(&bad), Err(WireError::Malformed(_))));
 
@@ -464,10 +463,14 @@ fn seeded_fuzz_decode_never_panics() {
         let buf: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
         let _ = Frame::decode(&buf);
     }
-    // Noise behind a valid header prefix exercises the payload parsers —
-    // under both accepted protocol versions.
+    // Noise behind a valid header prefix exercises the payload parsers;
+    // one draw in four swaps the version for an arbitrary (mostly invalid)
+    // byte, which must stop at the header.
     for _ in 0..2000 {
-        let version = 1 + rng.below(2) as u8;
+        let version = match rng.below(4) {
+            0 => rng.next_u64() as u8,
+            _ => VERSION,
+        };
         let kind = 1 + rng.below(8) as u8;
         let n = rng.below(64);
         let mut buf = Vec::with_capacity(HEADER_LEN + n);

@@ -5,247 +5,252 @@
 //! workspace storage keeps those loads split-free and makes the alignment
 //! contract checkable (the workspace asserts it in tests) instead of UB.
 //!
-//! The implementation stores data as a `Vec` of 64-byte `#[repr(align(64))]`
-//! chunks and exposes an element-typed slice view over the prefix. All
-//! element access goes through safe slices; the only `unsafe` is the
-//! chunk-to-element reinterpret, which is layout-guaranteed by `repr(C)`.
+//! There is one buffer type, [`AlignedBuf<T>`], generic over the three
+//! element types the stack stores ([`Elem`]: `f32`, `u8`, `i32`);
+//! [`AlignedBytes`] and [`AlignedInts`] are aliases of it. Data lives in a
+//! `Vec` of 64-byte `#[repr(align(64))]` byte chunks with an element-typed
+//! slice view over the prefix. All element access goes through safe slices;
+//! the only `unsafe` is the chunk-to-element reinterpret in the two `Deref`
+//! bodies, sound by the [`Elem`] contract.
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-macro_rules! aligned_buf {
-    ($(#[$doc:meta])* $name:ident, $chunk:ident, $elem:ty, $lanes:expr) => {
-        #[derive(Clone, Copy)]
-        #[repr(C, align(64))]
-        struct $chunk([$elem; $lanes]);
+/// One cacheline of storage.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Chunk([u8; 64]);
 
-        impl $chunk {
-            const ZERO: Self = Self([0 as $elem; $lanes]);
-        }
-
-        $(#[$doc])*
-        #[derive(Clone, Default)]
-        pub struct $name {
-            chunks: Vec<$chunk>,
-            len: usize,
-        }
-
-        impl $name {
-            /// Number of elements per 64-byte chunk.
-            const LANES: usize = $lanes;
-
-            /// Creates an empty buffer.
-            pub fn new() -> Self {
-                Self { chunks: Vec::new(), len: 0 }
-            }
-
-            /// Creates an empty buffer with room for at least `cap` elements.
-            pub fn with_capacity(cap: usize) -> Self {
-                Self {
-                    chunks: Vec::with_capacity(cap.div_ceil(Self::LANES)),
-                    len: 0,
-                }
-            }
-
-            /// Creates a zero-filled buffer of `len` elements.
-            pub fn zeroed(len: usize) -> Self {
-                Self {
-                    chunks: vec![$chunk::ZERO; len.div_ceil(Self::LANES)],
-                    len,
-                }
-            }
-
-            /// Creates a buffer holding a copy of `src`.
-            pub fn from_slice(src: &[$elem]) -> Self {
-                let mut b = Self::zeroed(src.len());
-                b.copy_from_slice(src);
-                b
-            }
-
-            /// Number of live elements.
-            #[allow(clippy::len_without_is_empty)]
-            pub fn len(&self) -> usize {
-                self.len
-            }
-
-            /// `true` when the buffer holds no elements.
-            pub fn is_empty(&self) -> bool {
-                self.len == 0
-            }
-
-            /// Element capacity before the chunk vector must reallocate.
-            pub fn capacity(&self) -> usize {
-                self.chunks.capacity() * Self::LANES
-            }
-
-            /// Grows the live region to `n` elements without initialising
-            /// the new tail beyond chunk-granular zeroing of fresh chunks.
-            /// Callers overwrite the exposed tail before reading it.
-            fn grow_to(&mut self, n: usize) {
-                let need = n.div_ceil(Self::LANES);
-                if need > self.chunks.len() {
-                    self.chunks.resize(need, $chunk::ZERO);
-                }
-                self.len = n;
-            }
-
-            /// Appends one element.
-            pub fn push(&mut self, v: $elem) {
-                let i = self.len;
-                self.grow_to(i + 1);
-                self[i] = v;
-            }
-
-            /// Appends a copy of `src`.
-            pub fn extend_from_slice(&mut self, src: &[$elem]) {
-                let i = self.len;
-                self.grow_to(i + src.len());
-                self[i..].copy_from_slice(src);
-            }
-
-            /// Resizes to `n` elements, filling any new tail with `v`.
-            pub fn resize(&mut self, n: usize, v: $elem) {
-                let old = self.len;
-                if n > old {
-                    self.grow_to(n);
-                    self[old..].fill(v);
-                } else {
-                    self.truncate(n);
-                }
-            }
-
-            /// Shortens to `n` elements (no-op if already shorter).
-            pub fn truncate(&mut self, n: usize) {
-                if n < self.len {
-                    self.len = n;
-                    self.chunks.truncate(n.div_ceil(Self::LANES));
-                }
-            }
-
-            /// Empties the buffer, keeping its allocation.
-            pub fn clear(&mut self) {
-                self.len = 0;
-                self.chunks.clear();
-            }
-
-            /// The live elements as a slice.
-            pub fn as_slice(&self) -> &[$elem] {
-                self
-            }
-
-            /// The live elements as a mutable slice.
-            pub fn as_mut_slice(&mut self) -> &mut [$elem] {
-                self
-            }
-
-            /// Copies the live elements into a plain `Vec`.
-            pub fn to_vec(&self) -> Vec<$elem> {
-                self.as_slice().to_vec()
-            }
-        }
-
-        impl Deref for $name {
-            type Target = [$elem];
-
-            fn deref(&self) -> &[$elem] {
-                // safety: `repr(C)` chunks are exactly `LANES` contiguous
-                // elements with no padding, the chunk vector owns
-                // `chunks.len() * LANES >= len` initialised elements, and
-                // the pointer is valid for the lifetime of `&self`.
-                unsafe { std::slice::from_raw_parts(self.chunks.as_ptr().cast(), self.len) }
-            }
-        }
-
-        impl DerefMut for $name {
-            fn deref_mut(&mut self) -> &mut [$elem] {
-                // safety: same layout argument as `deref`; `&mut self`
-                // guarantees exclusive access to the chunk storage.
-                unsafe {
-                    std::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast(), self.len)
-                }
-            }
-        }
-
-        impl From<Vec<$elem>> for $name {
-            fn from(v: Vec<$elem>) -> Self {
-                Self::from_slice(&v)
-            }
-        }
-
-        impl From<&[$elem]> for $name {
-            fn from(v: &[$elem]) -> Self {
-                Self::from_slice(v)
-            }
-        }
-
-        impl<'a> IntoIterator for &'a $name {
-            type Item = &'a $elem;
-            type IntoIter = std::slice::Iter<'a, $elem>;
-
-            fn into_iter(self) -> Self::IntoIter {
-                self.as_slice().iter()
-            }
-        }
-
-        impl<'a> IntoIterator for &'a mut $name {
-            type Item = &'a mut $elem;
-            type IntoIter = std::slice::IterMut<'a, $elem>;
-
-            fn into_iter(self) -> Self::IntoIter {
-                self.as_mut_slice().iter_mut()
-            }
-        }
-
-        impl FromIterator<$elem> for $name {
-            fn from_iter<I: IntoIterator<Item = $elem>>(iter: I) -> Self {
-                let iter = iter.into_iter();
-                let mut b = Self::with_capacity(iter.size_hint().0);
-                for v in iter {
-                    b.push(v);
-                }
-                b
-            }
-        }
-
-        impl PartialEq for $name {
-            fn eq(&self, other: &Self) -> bool {
-                self.as_slice() == other.as_slice()
-            }
-        }
-
-        impl fmt::Debug for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_list().entries(self.iter()).finish()
-            }
-        }
-    };
+impl Chunk {
+    const ZERO: Self = Self([0; 64]);
 }
 
-aligned_buf!(
-    /// A growable `f32` buffer whose storage is always 64-byte aligned.
-    AlignedBuf,
-    F32Chunk,
-    f32,
-    16
-);
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for u8 {}
+    impl Sealed for i32 {}
+}
 
-aligned_buf!(
-    /// A growable `u8` buffer whose storage is always 64-byte aligned —
-    /// backing store for quantized integer panels and level matrices.
-    AlignedBytes,
-    ByteChunk,
-    u8,
-    64
-);
+/// An element type [`AlignedBuf`] can store. Sealed: `f32`, `u8` and `i32`
+/// are the only implementors.
+///
+/// # Safety
+///
+/// An implementor is a plain number: every bit pattern of its
+/// `size_of::<Self>()` bytes is a valid value and all-zero bytes are its
+/// zero, its size divides 64, and its alignment is at most 64 — so any run
+/// of initialised 64-byte-aligned chunks can be viewed as a slice of it.
+// safety: the contract above is the whole argument the two `Deref` bodies
+// below rest on; the trait is sealed, so the three impls are all there are.
+pub unsafe trait Elem: Copy + Default + PartialEq + fmt::Debug + sealed::Sealed {}
 
-aligned_buf!(
-    /// A growable `i32` buffer whose storage is always 64-byte aligned —
-    /// zero-point and accumulator scratch for the integer serving path.
-    AlignedInts,
-    I32Chunk,
-    i32,
-    16
-);
+unsafe impl Elem for f32 {} // safety: 4 bytes, align 4, every bit pattern a float, zero bits = 0.0.
+unsafe impl Elem for u8 {} // safety: 1 byte, align 1, every bit pattern a value, zero bits = 0.
+unsafe impl Elem for i32 {} // safety: 4 bytes, align 4, every bit pattern a value, zero bits = 0.
+
+/// A growable buffer of `T` (default `f32`) whose storage is always
+/// 64-byte aligned.
+#[derive(Clone, Default)]
+pub struct AlignedBuf<T: Elem = f32> {
+    chunks: Vec<Chunk>,
+    len: usize,
+    elem: PhantomData<T>,
+}
+
+/// A growable `u8` buffer whose storage is always 64-byte aligned —
+/// backing store for quantized integer panels and level matrices.
+pub type AlignedBytes = AlignedBuf<u8>;
+
+/// A growable `i32` buffer whose storage is always 64-byte aligned —
+/// zero-point and accumulator scratch for the integer serving path.
+pub type AlignedInts = AlignedBuf<i32>;
+
+impl<T: Elem> AlignedBuf<T> {
+    /// Number of elements per 64-byte chunk.
+    const LANES: usize = 64 / std::mem::size_of::<T>();
+
+    fn from_chunks(chunks: Vec<Chunk>, len: usize) -> Self {
+        Self {
+            chunks,
+            len,
+            elem: PhantomData,
+        }
+    }
+
+    /// Creates an empty buffer.
+    pub fn new() -> Self {
+        Self::from_chunks(Vec::new(), 0)
+    }
+
+    /// Creates an empty buffer with room for at least `cap` elements.
+    pub fn with_capacity(cap: usize) -> Self {
+        Self::from_chunks(Vec::with_capacity(cap.div_ceil(Self::LANES)), 0)
+    }
+
+    /// Creates a zero-filled buffer of `len` elements.
+    pub fn zeroed(len: usize) -> Self {
+        Self::from_chunks(vec![Chunk::ZERO; len.div_ceil(Self::LANES)], len)
+    }
+
+    /// Creates a buffer holding a copy of `src`.
+    pub fn from_slice(src: &[T]) -> Self {
+        let mut b = Self::zeroed(src.len());
+        b.copy_from_slice(src);
+        b
+    }
+
+    /// Number of live elements.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the buffer holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Element capacity before the chunk vector must reallocate.
+    pub fn capacity(&self) -> usize {
+        self.chunks.capacity() * Self::LANES
+    }
+
+    /// Grows the live region to `n` elements without initialising
+    /// the new tail beyond chunk-granular zeroing of fresh chunks.
+    /// Callers overwrite the exposed tail before reading it.
+    fn grow_to(&mut self, n: usize) {
+        let need = n.div_ceil(Self::LANES);
+        if need > self.chunks.len() {
+            self.chunks.resize(need, Chunk::ZERO);
+        }
+        self.len = n;
+    }
+
+    /// Appends one element.
+    pub fn push(&mut self, v: T) {
+        let i = self.len;
+        self.grow_to(i + 1);
+        self[i] = v;
+    }
+
+    /// Appends a copy of `src`.
+    pub fn extend_from_slice(&mut self, src: &[T]) {
+        let i = self.len;
+        self.grow_to(i + src.len());
+        self[i..].copy_from_slice(src);
+    }
+
+    /// Resizes to `n` elements, filling any new tail with `v`.
+    pub fn resize(&mut self, n: usize, v: T) {
+        let old = self.len;
+        if n > old {
+            self.grow_to(n);
+            self[old..].fill(v);
+        } else {
+            self.truncate(n);
+        }
+    }
+
+    /// Shortens to `n` elements (no-op if already shorter).
+    pub fn truncate(&mut self, n: usize) {
+        if n < self.len {
+            self.len = n;
+            self.chunks.truncate(n.div_ceil(Self::LANES));
+        }
+    }
+
+    /// Empties the buffer, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.chunks.clear();
+    }
+
+    /// The live elements as a slice.
+    pub fn as_slice(&self) -> &[T] {
+        self
+    }
+
+    /// The live elements as a mutable slice.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        self
+    }
+}
+
+impl<T: Elem> Deref for AlignedBuf<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        // safety: by the `Elem` contract initialised chunk bytes are valid
+        // `T`s and the chunk base is aligned for `T`; `repr(C)` chunks are
+        // contiguous with no padding, the chunk vector owns
+        // `chunks.len() * LANES >= len` initialised elements, and the
+        // pointer is valid for the lifetime of `&self`.
+        unsafe { std::slice::from_raw_parts(self.chunks.as_ptr().cast(), self.len) }
+    }
+}
+
+impl<T: Elem> DerefMut for AlignedBuf<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        // safety: same layout argument as `deref`; `&mut self` guarantees
+        // exclusive access to the chunk storage, and any `T` written through
+        // the slice leaves the chunk bytes initialised.
+        unsafe { std::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast(), self.len) }
+    }
+}
+
+impl<T: Elem> From<Vec<T>> for AlignedBuf<T> {
+    fn from(v: Vec<T>) -> Self {
+        Self::from_slice(&v)
+    }
+}
+
+impl<T: Elem> From<&[T]> for AlignedBuf<T> {
+    fn from(v: &[T]) -> Self {
+        Self::from_slice(v)
+    }
+}
+
+impl<'a, T: Elem> IntoIterator for &'a AlignedBuf<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl<'a, T: Elem> IntoIterator for &'a mut AlignedBuf<T> {
+    type Item = &'a mut T;
+    type IntoIter = std::slice::IterMut<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_mut_slice().iter_mut()
+    }
+}
+
+impl<T: Elem> FromIterator<T> for AlignedBuf<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut b = Self::with_capacity(iter.size_hint().0);
+        for v in iter {
+            b.push(v);
+        }
+        b
+    }
+}
+
+impl<T: Elem> PartialEq for AlignedBuf<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Elem> fmt::Debug for AlignedBuf<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -254,10 +259,9 @@ mod tests {
     #[test]
     fn base_pointer_is_64_byte_aligned() {
         for n in [1usize, 15, 16, 17, 1000] {
-            let b = AlignedBuf::zeroed(n);
-            assert_eq!(b.as_slice().as_ptr() as usize % 64, 0);
-            let y = AlignedBytes::zeroed(n);
-            assert_eq!(y.as_slice().as_ptr() as usize % 64, 0);
+            assert_eq!(AlignedBuf::<f32>::zeroed(n).as_ptr() as usize % 64, 0);
+            assert_eq!(AlignedBytes::zeroed(n).as_ptr() as usize % 64, 0);
+            assert_eq!(AlignedInts::zeroed(n).as_ptr() as usize % 64, 0);
         }
     }
 

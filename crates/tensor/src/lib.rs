@@ -40,7 +40,7 @@ pub mod simd;
 mod tensor;
 mod workspace;
 
-pub use buf::{AlignedBuf, AlignedBytes, AlignedInts};
+pub use buf::{AlignedBuf, AlignedBytes, AlignedInts, Elem};
 pub use conv::{
     col2im, col2im_add_into, conv2d_output_hw, im2col, im2col_into, im2col_levels_rows,
     Conv2dGeometry,

@@ -9,9 +9,10 @@
 //!   the *bitwise-pinned reference tier*: same seed ⇒ same logits on every
 //!   platform, forever. CI and the chaos harness re-verify it each run.
 //! * **`native`** — the best backend the host exposes (AVX2 on `x86_64`
-//!   after `is_x86_feature_detected!`, NEON on `aarch64`, scalar
-//!   otherwise). The integer tile accumulates exactly in `i32`, so its
-//!   results are **bitwise identical** to scalar on every arch. `f32`
+//!   after `is_x86_feature_detected!`, scalar everywhere else: the tree
+//!   holds only backends CI can build and test). The integer tile
+//!   accumulates exactly in `i32`, so its results are **bitwise
+//!   identical** to scalar on every arch. `f32`
 //!   kernels fall in two tiers: the micro-kernel/BN/pack paths replay the
 //!   scalar rounding sequence exactly (multiply then add per lane, no FMA,
 //!   no reassociation — bitwise tier), while transcendental tails
@@ -31,9 +32,6 @@ mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 use std::sync::OnceLock;
 
@@ -74,7 +72,7 @@ pub const fn int_panel_len(k: usize) -> usize {
 /// must be bitwise identical to [`SCALAR`]'s results; `exp_sub_sum` may
 /// differ from scalar by a small ULP bound.
 pub trait SimdOps: Sync {
-    /// Stable identifier of the backend (`"scalar"`, `"avx2"`, `"neon"`).
+    /// Stable identifier of the backend (`"scalar"`, `"avx2"`).
     fn name(&self) -> &'static str;
 
     /// The register-blocked GEMM inner kernel:
@@ -215,14 +213,7 @@ fn native() -> &'static dyn SimdOps {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-fn native() -> &'static dyn SimdOps {
-    // NEON is baseline on aarch64 — no runtime probe needed.
-    static NEON: neon::NeonOps = neon::NeonOps;
-    &NEON
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn native() -> &'static dyn SimdOps {
     &SCALAR
 }

@@ -8,13 +8,13 @@
 //! heap allocation at all (a buffer whose capacity already suffices is
 //! resized in place).
 //!
-//! The pool is deliberately dumb — a flat list of [`AlignedBuf`] matched
-//! best-fit by capacity (plus a twin [`AlignedBytes`] pool for quantized
-//! integer staging). The take/recycle sequence of a fixed model shape
-//! is itself fixed, so the pool converges to one buffer per concurrently
-//! live request after at most a few iterations, and stays there. Every
-//! pooled buffer is 64-byte aligned, the contract SIMD panel loads build
-//! on (see [`crate::simd`]).
+//! The pool is deliberately dumb — one flat list of [`AlignedBuf<T>`] per
+//! element type (`f32` activations, `u8` quantized levels, `i32` zero
+//! points), all three served by the same best-fit `take` and capped `put`.
+//! The take/recycle sequence of a fixed model shape is itself fixed, so
+//! the pool converges to one buffer per concurrently live request after at
+//! most a few iterations, and stays there. Every pooled buffer is 64-byte
+//! aligned, the contract SIMD panel loads build on (see [`crate::simd`]).
 //!
 //! Recycling is cooperative, not tracked: a buffer that escapes (a logits
 //! tensor handed to a caller) is simply never returned, and the pool
@@ -25,7 +25,7 @@
 //! it, so one flag threaded through `EngineConfig` switches the whole layer
 //! stack between the pinned scalar reference and native dispatch.
 
-use crate::buf::{AlignedBuf, AlignedBytes, AlignedInts};
+use crate::buf::{AlignedBuf, AlignedBytes, AlignedInts, Elem};
 use crate::simd::KernelMode;
 use crate::tensor::Tensor;
 
@@ -47,7 +47,6 @@ pub struct Workspace {
     pool: Vec<AlignedBuf>,
     byte_pool: Vec<AlignedBytes>,
     int_pool: Vec<AlignedInts>,
-    max_pooled: usize,
     kernel: KernelMode,
 }
 
@@ -57,52 +56,63 @@ impl Default for Workspace {
     }
 }
 
-/// Cloning a workspace yields an *empty* one with the same pool cap and
-/// kernel mode: scratch contents are meaningless across owners, and a cloned
-/// `Network` replica must not drag another replica's warm buffers (each
-/// shard warms its own).
+/// Cloning a workspace yields an *empty* one with the same kernel mode:
+/// scratch contents are meaningless across owners, and a cloned `Network`
+/// replica must not drag another replica's warm buffers (each shard warms
+/// its own).
 impl Clone for Workspace {
     fn clone(&self) -> Self {
-        let mut ws = Self::with_max_pooled(self.max_pooled);
+        let mut ws = Self::new();
         ws.kernel = self.kernel;
         ws
     }
 }
 
-impl Workspace {
-    /// Default hard cap on pooled buffers. Paths that recycle more than they
-    /// take (e.g. a server handed externally allocated request tensors every
-    /// burst) must not grow the pool without bound: beyond the cap, recycled
-    /// buffers are simply dropped — a later take allocates, which is
-    /// graceful degradation, not a leak. The default is far above any layer
-    /// stack's steady-state working set, so hot paths never hit it; servers
-    /// tuning memory-vs-allocation trade-offs can override it per workspace
-    /// with [`Workspace::with_max_pooled`].
-    pub const DEFAULT_MAX_POOLED: usize = 256;
-
-    /// Creates an empty workspace with the default pool cap and the
-    /// process-wide default kernel mode (`TIA_KERNEL`).
-    /// Allocation-free until the first take.
-    pub fn new() -> Self {
-        Self::with_max_pooled(Self::DEFAULT_MAX_POOLED)
+/// Pops the best-fitting pooled buffer (smallest capacity `>= n`), or
+/// allocates a fresh one when nothing fits, and sizes it to `n` elements of
+/// unspecified contents.
+fn take<T: Elem>(pool: &mut Vec<AlignedBuf<T>>, n: usize) -> AlignedBuf<T> {
+    let mut best: Option<(usize, usize)> = None;
+    for (i, b) in pool.iter().enumerate() {
+        let cap = b.capacity();
+        if cap >= n && best.is_none_or(|(_, bc)| cap < bc) {
+            best = Some((i, cap));
+        }
     }
+    let mut b = match best {
+        Some((i, _)) => pool.swap_remove(i),
+        None => AlignedBuf::with_capacity(n),
+    };
+    b.resize(n, T::default());
+    b
+}
 
-    /// Creates an empty workspace that parks at most `max_pooled` recycled
-    /// buffers per pool (clamped to at least 1). Recycles beyond the cap
-    /// drop their buffer instead of pooling it.
-    pub fn with_max_pooled(max_pooled: usize) -> Self {
+/// Parks a buffer for reuse. Zero-capacity buffers and buffers beyond
+/// [`Workspace::MAX_POOLED`] are dropped instead.
+fn put<T: Elem>(pool: &mut Vec<AlignedBuf<T>>, buf: AlignedBuf<T>) {
+    if buf.capacity() > 0 && pool.len() < Workspace::MAX_POOLED {
+        pool.push(buf);
+    }
+}
+
+impl Workspace {
+    /// Hard cap on the buffers parked per pool. Paths that recycle more than
+    /// they take (e.g. a server handed externally allocated request tensors
+    /// every burst) must not grow the pool without bound: beyond the cap,
+    /// recycled buffers are simply dropped — a later take allocates, which
+    /// is graceful degradation, not a leak. The cap is far above any layer
+    /// stack's steady-state working set, so hot paths never hit it.
+    pub const MAX_POOLED: usize = 256;
+
+    /// Creates an empty workspace with the process-wide default kernel
+    /// mode (`TIA_KERNEL`). Allocation-free until the first take.
+    pub fn new() -> Self {
         Self {
             pool: Vec::new(),
             byte_pool: Vec::new(),
             int_pool: Vec::new(),
-            max_pooled: max_pooled.max(1),
             kernel: KernelMode::global_default(),
         }
-    }
-
-    /// The pool cap this workspace was built with.
-    pub fn max_pooled(&self) -> usize {
-        self.max_pooled
     }
 
     /// The kernel dispatch mode kernels resolve their SIMD backend from.
@@ -126,31 +136,9 @@ impl Workspace {
         self.byte_pool.len()
     }
 
-    /// Total `f32` capacity parked in the pool.
-    pub fn pooled_capacity(&self) -> usize {
-        self.pool.iter().map(|b| b.capacity()).sum()
-    }
-
-    /// Pops the best-fitting pooled buffer (smallest capacity `>= n`), or
-    /// allocates a fresh one when nothing fits.
-    fn take_raw(&mut self, n: usize) -> AlignedBuf {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, b) in self.pool.iter().enumerate() {
-            let cap = b.capacity();
-            if cap >= n && best.is_none_or(|(_, bc)| cap < bc) {
-                best = Some((i, cap));
-            }
-        }
-        match best {
-            Some((i, _)) => self.pool.swap_remove(i),
-            None => AlignedBuf::with_capacity(n),
-        }
-    }
-
     /// Takes a buffer of exactly `n` zeros.
     pub fn take_zeroed(&mut self, n: usize) -> AlignedBuf {
-        let mut b = self.take_raw(n);
-        b.resize(n, 0.0);
+        let mut b = take(&mut self.pool, n);
         b.fill(0.0);
         b
     }
@@ -159,15 +147,12 @@ impl Workspace {
     /// scratch that is fully overwritten before being read (GEMM pack
     /// panels, quantized-activation staging). Skips the zero fill.
     pub fn take_spare(&mut self, n: usize) -> AlignedBuf {
-        let mut b = self.take_raw(n);
-        b.resize(n, 0.0);
-        b
+        take(&mut self.pool, n)
     }
 
     /// Takes a buffer holding a copy of `src`.
     pub fn take_copy(&mut self, src: &[f32]) -> AlignedBuf {
-        let mut b = self.take_raw(src.len());
-        b.resize(src.len(), 0.0);
+        let mut b = take(&mut self.pool, src.len());
         b.copy_from_slice(src);
         b
     }
@@ -175,61 +160,31 @@ impl Workspace {
     /// Returns a buffer to the pool for reuse. Zero-capacity buffers and
     /// buffers beyond the pool cap are dropped instead of parked.
     pub fn recycle(&mut self, buf: AlignedBuf) {
-        if buf.capacity() > 0 && self.pool.len() < self.max_pooled {
-            self.pool.push(buf);
-        }
+        put(&mut self.pool, buf);
     }
 
     /// Takes a byte buffer of length `n` with unspecified contents — the
     /// integer twin of [`Self::take_spare`], staging quantized activation
     /// levels and packed panels.
     pub fn take_bytes_spare(&mut self, n: usize) -> AlignedBytes {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, b) in self.byte_pool.iter().enumerate() {
-            let cap = b.capacity();
-            if cap >= n && best.is_none_or(|(_, bc)| cap < bc) {
-                best = Some((i, cap));
-            }
-        }
-        let mut b = match best {
-            Some((i, _)) => self.byte_pool.swap_remove(i),
-            None => AlignedBytes::with_capacity(n),
-        };
-        b.resize(n, 0);
-        b
+        take(&mut self.byte_pool, n)
     }
 
     /// Returns a byte buffer to the pool for reuse (the twin of
     /// [`Self::recycle`]).
     pub fn recycle_bytes(&mut self, buf: AlignedBytes) {
-        if buf.capacity() > 0 && self.byte_pool.len() < self.max_pooled {
-            self.byte_pool.push(buf);
-        }
+        put(&mut self.byte_pool, buf);
     }
 
     /// Takes an `i32` buffer of length `n` with unspecified contents —
     /// zero-point staging for the integer serving path.
     pub fn take_ints_spare(&mut self, n: usize) -> AlignedInts {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, b) in self.int_pool.iter().enumerate() {
-            let cap = b.capacity();
-            if cap >= n && best.is_none_or(|(_, bc)| cap < bc) {
-                best = Some((i, cap));
-            }
-        }
-        let mut b = match best {
-            Some((i, _)) => self.int_pool.swap_remove(i),
-            None => AlignedInts::with_capacity(n),
-        };
-        b.resize(n, 0);
-        b
+        take(&mut self.int_pool, n)
     }
 
     /// Returns an `i32` buffer to the pool for reuse.
     pub fn recycle_ints(&mut self, buf: AlignedInts) {
-        if buf.capacity() > 0 && self.int_pool.len() < self.max_pooled {
-            self.int_pool.push(buf);
-        }
+        put(&mut self.int_pool, buf);
     }
 
     /// Takes a zero-filled tensor whose storage comes from the pool.
@@ -318,16 +273,25 @@ mod tests {
     }
 
     #[test]
-    fn byte_pool_reuses_capacity() {
+    fn typed_entry_points_share_one_pool_policy() {
+        // take / put / take hands the same storage back, whatever the type.
         let mut ws = Workspace::new();
-        let a = ws.take_bytes_spare(128);
-        let ptr = a.as_ptr();
-        ws.recycle_bytes(a);
-        let b = ws.take_bytes_spare(64);
-        assert_eq!(b.as_ptr(), ptr, "byte pool must reuse the buffer");
-        assert_eq!(ws.pooled_bytes(), 0);
-        ws.recycle_bytes(b);
-        assert_eq!(ws.pooled_bytes(), 1);
+        let f = ws.take_spare(128);
+        let y = ws.take_bytes_spare(128);
+        let z = ws.take_ints_spare(128);
+        let ptrs = (f.as_ptr(), y.as_ptr(), z.as_ptr());
+        ws.recycle(f);
+        ws.recycle_bytes(y);
+        ws.recycle_ints(z);
+        assert_eq!((ws.pooled(), ws.pooled_bytes()), (1, 1));
+        let (f, y, z) = (
+            ws.take_spare(64),
+            ws.take_bytes_spare(64),
+            ws.take_ints_spare(64),
+        );
+        assert_eq!((f.as_ptr(), y.as_ptr(), z.as_ptr()), ptrs);
+        assert_eq!((f.len(), y.len(), z.len()), (64, 64, 64));
+        assert_eq!((ws.pooled(), ws.pooled_bytes()), (0, 0));
     }
 
     #[test]
@@ -344,7 +308,6 @@ mod tests {
         assert_eq!(ws.pooled(), 0);
         ws.recycle_tensor(z);
         assert_eq!(ws.pooled(), 1);
-        assert!(ws.pooled_capacity() >= 4);
     }
 
     #[test]
@@ -362,28 +325,12 @@ mod tests {
         // Recycling more than the cap (a server fed externally allocated
         // tensors every burst) must not grow the pool without bound.
         let mut ws = Workspace::new();
-        for _ in 0..2 * Workspace::DEFAULT_MAX_POOLED {
+        for _ in 0..2 * Workspace::MAX_POOLED {
             ws.recycle(AlignedBuf::zeroed(8));
             ws.recycle_bytes(AlignedBytes::zeroed(8));
         }
-        assert_eq!(ws.pooled(), Workspace::DEFAULT_MAX_POOLED);
-        assert_eq!(ws.pooled_bytes(), Workspace::DEFAULT_MAX_POOLED);
-    }
-
-    #[test]
-    fn pool_cap_is_configurable() {
-        let mut ws = Workspace::with_max_pooled(3);
-        assert_eq!(ws.max_pooled(), 3);
-        for _ in 0..10 {
-            ws.recycle(AlignedBuf::zeroed(8));
-        }
-        assert_eq!(ws.pooled(), 3);
-        // The cap survives cloning even though the contents do not.
-        let c = ws.clone();
-        assert_eq!(c.max_pooled(), 3);
-        assert_eq!(c.pooled(), 0);
-        // A zero cap is clamped: the pool still functions.
-        assert_eq!(Workspace::with_max_pooled(0).max_pooled(), 1);
+        assert_eq!(ws.pooled(), Workspace::MAX_POOLED);
+        assert_eq!(ws.pooled_bytes(), Workspace::MAX_POOLED);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `KernelMode::Native` is fingerprinted the same way: its f32 kernels are
 //! bitwise-tier on every backend and its integer serving path accumulates
 //! exactly in `i32`, so the logits are one fixed function of the inputs on
-//! AVX2, NEON and the scalar fallback alike. A kernel rewrite may reorder
+//! AVX2 and the scalar fallback alike. A kernel rewrite may reorder
 //! the features inside an integer dot product or change how bytes are
 //! arranged, never a logit bit.
 
