@@ -14,6 +14,10 @@
 //! each weight occupies a byte lane, because a CPU without a sub-byte
 //! multiply has to widen nibbles before every multiply anyway — doing it
 //! once, when the memo is filled, takes the decode off the serving path.
+//! The panels interleave `K` quads — four consecutive depths of one column
+//! are adjacent — which is the operand a byte dot-product instruction
+//! (`vpdpbusd`) multiplies against four raw activation levels at once, so
+//! the activations reach the tile as the `u8` levels the quantizer wrote.
 //! (`tia-sim` and `tia-accel` model true sub-byte storage; this is the
 //! software serving path's layout, not the accelerator's.)
 //!
@@ -204,8 +208,8 @@ pub fn quantize_affine_levels_hwc(
 ///
 /// Storage is `ceil(rows / INT_NR)` panels of [`INT_NR`] rows each, every
 /// panel laid out by [`int_panel_index`]: one byte per weight at every
-/// precision, `K` pairs interleaved across the panel's rows, zero-padded to
-/// a whole panel in `rows` and a whole pair in `k`. Packing happens here,
+/// precision, `K` quads interleaved across the panel's rows, zero-padded to
+/// a whole panel in `rows` and a whole quad in `k`. Packing happens here,
 /// once per memo fill, so [`gemm_quant_strided`] never rearranges a weight.
 #[derive(Debug, Clone)]
 pub struct QuantizedWeights {
@@ -293,7 +297,8 @@ impl QuantizedWeights {
     }
 
     /// Bytes of panel storage (capacity planning / tests):
-    /// `ceil(rows / INT_NR) · INT_NR · ceil(k / 2) · 2` at every precision.
+    /// `ceil(rows / 16) · 16 · ceil(k / 4) · 4` at every precision
+    /// (`INT_NR = 16` rows per panel, `k` padded to a whole quad).
     pub fn packed_len(&self) -> usize {
         self.data.len()
     }
@@ -383,8 +388,8 @@ pub fn gemm_quant(
 /// here, so every layer and every backend agrees on it bit for bit.
 ///
 /// Blocking: for each block of [`INT_MR`] activation rows, one
-/// [`INT_KC`]-deep slice of their levels is widened to `i16` into a stack
-/// array, and each weight panel meets it in one
+/// [`INT_KC`]-deep slice of their levels is copied into a stack block, and
+/// each weight panel meets it in one
 /// [`SimdOps::micro_kernel_i32`] call that leaves an `INT_MR × INT_NR` tile
 /// of exact `i32` sums; the epilogue then dequantizes and stores the tile's
 /// valid part. Edge tiles (`m % INT_MR`, `rows % INT_NR`) run the same
@@ -435,8 +440,9 @@ pub fn gemm_quant_strided(
     );
     let panel_len = int_panel_len(k);
     // Rows past a short last block keep the previous block's levels: their
-    // sums are computed and never stored.
-    let mut wide = [[0i16; INT_KC]; INT_MR];
+    // sums are computed and never stored. Levels past `kc` in a row are
+    // stale too and meet only the panel's zero padding.
+    let mut block = [[0u8; INT_KC]; INT_MR];
     for i0 in (0..m).step_by(INT_MR) {
         let mr = INT_MR.min(m - i0);
         // Each row's grid and the offset of its first output.
@@ -453,19 +459,14 @@ pub fn gemm_quant_strided(
             let mut acc = [[0i32; INT_NR]; INT_MR];
             for k0 in (0..k).step_by(INT_KC) {
                 let kc = INT_KC.min(k - k0);
-                // A depth of one block is widened once per row block. A
-                // deeper one is widened again for every panel, which adds
-                // about an eighth to the tile it feeds (measured at k =
-                // 1152 under a 1024-deep block).
+                // A depth of one block is copied once per row block; a
+                // deeper one again for every panel.
                 if j0 == 0 || k > INT_KC {
-                    for (i, row) in wide.iter_mut().enumerate().take(mr) {
-                        let levels = &a_levels[(i0 + i) * k + k0..][..kc];
-                        for (d, &level) in row.iter_mut().zip(levels) {
-                            *d = level as i16;
-                        }
+                    for (i, row) in block.iter_mut().enumerate().take(mr) {
+                        row[..kc].copy_from_slice(&a_levels[(i0 + i) * k + k0..][..kc]);
                     }
                 }
-                ops.micro_kernel_i32(kc, &wide, &panel[k0 * INT_NR..], &mut acc);
+                ops.micro_kernel_i32(kc, &block, &panel[k0 * INT_NR..], &mut acc);
             }
             // Columns outermost: under plane strides a column's `mr` sums
             // are neighbours in memory, so each output line is visited once
@@ -638,20 +639,10 @@ mod tests {
         let q = QuantizedWeights::quantize_rows(&vec![-1.0; k], 1, k, 8);
         let a = vec![255u8; k];
         let want = q.scales()[0] * ((-255 * 127 * k as i64) as f32);
-        for mode in [KernelMode::Scalar, KernelMode::Native] {
+        for ops in simd::available() {
             let mut out = [0.0f32];
-            gemm_quant(
-                simd::backend(mode),
-                1,
-                k,
-                &a,
-                &[1.0],
-                &[0],
-                &q,
-                None,
-                &mut out,
-            );
-            assert_eq!(out[0].to_bits(), want.to_bits(), "{mode}");
+            gemm_quant(ops, 1, k, &a, &[1.0], &[0], &q, None, &mut out);
+            assert_eq!(out[0].to_bits(), want.to_bits(), "{}", ops.name());
         }
     }
 
@@ -745,12 +736,12 @@ mod tests {
             let q = QuantizedWeights::quantize_rows(&w, rows, k, bits);
             assert_eq!((q.rows(), q.k(), q.bits()), (rows, k, bits));
             // One byte per weight at every precision; 6 rows fill one
-            // 16-row panel, 33 deep plus the pair's padding.
+            // 16-row panel, 33 deep plus the quad's padding.
             assert_eq!(
                 q.packed_len(),
-                rows.div_ceil(INT_NR) * INT_NR * k.div_ceil(2) * 2
+                rows.div_ceil(INT_NR) * INT_NR * k.div_ceil(4) * 4
             );
-            assert_eq!(q.packed_len(), 16 * 34);
+            assert_eq!(q.packed_len(), 16 * 36);
             for r in 0..rows {
                 let s = q.scales()[r];
                 assert!(s > 0.0);
@@ -841,27 +832,19 @@ mod tests {
                     want
                 );
             }
-            // Dispatched backend must agree with scalar *bitwise*.
-            let native = simd::backend(KernelMode::Native);
-            let mut out_native = vec![0.0f32; m * n];
-            gemm_quant(
-                native,
-                m,
-                k,
-                &levels,
-                &scales,
-                &zps,
-                &q,
-                Some(&bias),
-                &mut out_native,
-            );
-            assert_eq!(
-                out_native.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                out_scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "bits={}: {} diverged from scalar",
-                bits,
-                native.name()
-            );
+            // Every backend the host can run must agree with scalar
+            // *bitwise*.
+            for ops in simd::available() {
+                let mut out = vec![0.0f32; m * n];
+                gemm_quant(ops, m, k, &levels, &scales, &zps, &q, Some(&bias), &mut out);
+                assert_eq!(
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    out_scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "bits={}: {} diverged from scalar",
+                    bits,
+                    ops.name()
+                );
+            }
         }
     }
 

@@ -152,7 +152,7 @@ enum Side {
 /// batch, so `Conv2d`/`Linear` memoize a `PackedMatrix` per precision and a
 /// random precision switch costs a lookup instead of a re-pack. The stored
 /// panels are byte-identical to what the per-call packers produce, making
-/// prepacked products bitwise equal to plain [`gemm`]/[`matmul_a_bt`].
+/// prepacked products bitwise equal to plain [`gemm`]/[`matmul_a_bt_ws`].
 ///
 /// # Example
 ///
@@ -480,15 +480,11 @@ pub fn gemm_ws(
     );
 }
 
-/// `C += A^T * B` where `A` is `k x m`, `B` is `k x n`, `C` is `m x n`.
+/// `C += A^T * B` where `A` is `k x m`, `B` is `k x n`, `C` is `m x n`,
+/// with pack scratch drawn from (and returned to) `ws`.
 ///
 /// Used for weight gradients: `dW = dY^T * X` style products without
 /// materialising transposes.
-pub fn matmul_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    matmul_at_b_ws(k, m, n, a, b, c, &mut Workspace::new());
-}
-
-/// [`matmul_at_b`] with pack scratch drawn from (and returned to) `ws`.
 pub fn matmul_at_b_ws(
     k: usize,
     m: usize,
@@ -520,15 +516,11 @@ pub fn matmul_at_b_ws(
     );
 }
 
-/// `C += A * B^T` where `A` is `m x k`, `B` is `n x k`, `C` is `m x n`.
+/// `C += A * B^T` where `A` is `m x k`, `B` is `n x k`, `C` is `m x n`,
+/// with pack scratch drawn from (and returned to) `ws`.
 ///
 /// Used for linear-layer forward/input-gradient products (`Y = X * W^T`
 /// between row-major weight layouts) without materialising transposes.
-pub fn matmul_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    matmul_a_bt_ws(m, k, n, a, b, c, &mut Workspace::new());
-}
-
-/// [`matmul_a_bt`] with pack scratch drawn from (and returned to) `ws`.
 pub fn matmul_a_bt_ws(
     m: usize,
     k: usize,
@@ -638,7 +630,7 @@ mod tests {
                 }
             }
             let mut c = vec![0.0; m * n];
-            matmul_at_b(k, m, n, &at, &b, &mut c);
+            matmul_at_b_ws(k, m, n, &at, &b, &mut c, &mut Workspace::new());
             assert_close(&c, &expect, scale, &format!("at_b {}", ctx));
 
             // A * B^T with B stored n x k.
@@ -649,7 +641,7 @@ mod tests {
                 }
             }
             let mut c = vec![0.0; m * n];
-            matmul_a_bt(m, k, n, &a, &bt, &mut c);
+            matmul_a_bt_ws(m, k, n, &a, &bt, &mut c, &mut Workspace::new());
             assert_close(&c, &expect, scale, &format!("a_bt {}", ctx));
         }
     }
@@ -686,7 +678,7 @@ mod tests {
         let a: Vec<f32> = (0..k * m).map(|_| rng.normal()).collect(); // k x m
         let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect(); // k x n
         let mut c = vec![0.0; m * n];
-        matmul_at_b(k, m, n, &a, &b, &mut c);
+        matmul_at_b_ws(k, m, n, &a, &b, &mut c, &mut Workspace::new());
         // naive: c[i,j] = sum_p a[p,i] * b[p,j]
         for i in 0..m {
             for j in 0..n {
@@ -706,7 +698,7 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect(); // m x k
         let b: Vec<f32> = (0..n * k).map(|_| rng.normal()).collect(); // n x k
         let mut c = vec![0.0; m * n];
-        matmul_a_bt(m, k, n, &a, &b, &mut c);
+        matmul_a_bt_ws(m, k, n, &a, &b, &mut c, &mut Workspace::new());
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0;
@@ -759,7 +751,7 @@ mod tests {
             // Weight layout: n x k row-major, consumed as B = W^T.
             let w: Vec<f32> = (0..n * k).map(|_| rng.normal()).collect();
             let mut want = vec![0.0; m * n];
-            matmul_a_bt(m, k, n, &a, &w, &mut want);
+            matmul_a_bt_ws(m, k, n, &a, &w, &mut want, &mut Workspace::new());
             let packed = PackedMatrix::pack_rhs_transposed(n, k, &w);
             assert_eq!((packed.rows(), packed.cols()), (k, n));
             let mut got = vec![0.0; m * n];

@@ -45,9 +45,7 @@ pub use conv::{
     col2im, col2im_add_into, conv2d_output_hw, im2col, im2col_into, im2col_levels_rows,
     Conv2dGeometry,
 };
-pub use gemm::{
-    gemm, gemm_ws, matmul_a_bt, matmul_a_bt_ws, matmul_at_b, matmul_at_b_ws, PackedMatrix,
-};
+pub use gemm::{gemm, gemm_ws, matmul_a_bt_ws, matmul_at_b_ws, PackedMatrix};
 pub use ops::{argmax, argmax_rows, count_top1_correct, log_softmax_rows, softmax_rows};
 pub use pool::{avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward};
 pub use rng::SeededRng;

@@ -8,9 +8,12 @@
 //! * **`scalar`** — the original portable Rust loops, unchanged. This is
 //!   the *bitwise-pinned reference tier*: same seed ⇒ same logits on every
 //!   platform, forever. CI and the chaos harness re-verify it each run.
-//! * **`native`** — the best backend the host exposes (AVX2 on `x86_64`
-//!   after `is_x86_feature_detected!`, scalar everywhere else: the tree
-//!   holds only backends CI can build and test). The integer tile
+//! * **`native`** — the best backend the host exposes: on `x86_64`,
+//!   `avx2-vnni` when `is_x86_feature_detected!` finds both AVX2 and
+//!   AVX-VNNI, `avx2` when it finds AVX2 alone, scalar everywhere else (the
+//!   tree holds only backends CI can build and test). Both AVX2 backends are
+//!   one type whose `f32` kernels are shared; they differ only in the
+//!   integer tile's body (`vpdpbusd` against `vpmaddwd`). The integer tile
 //!   accumulates exactly in `i32`, so its results are **bitwise
 //!   identical** to scalar on every arch. `f32`
 //!   kernels fall in two tiers: the micro-kernel/BN/pack paths replay the
@@ -18,15 +21,16 @@
 //!   no reassociation — bitwise tier), while transcendental tails
 //!   (vectorized `exp`) are only ULP-bounded against scalar (tolerance
 //!   tier). The differential suite in `crates/tensor/tests` enforces both
-//!   tiers per backend.
+//!   tiers on every backend [`available`] lists, so a host with VNNI also
+//!   runs the plain-AVX2 tile it would never dispatch to.
 //!
 //! The mode travels with the [`crate::Workspace`] each kernel already
 //! receives (`EngineConfig` → `ServerConfig` → `tia-served --kernel`);
 //! free-standing entry points use the process-wide [`KernelMode::global_default`],
 //! which reads `TIA_KERNEL=scalar|native` once (default: `native`).
 //!
-//! Adding an arch = one file implementing [`SimdOps`] + one arm in
-//! [`detect`]; the differential suite picks it up automatically.
+//! Adding an arch = one file implementing [`SimdOps`] + its entries in
+//! [`available`]; the differential suite picks it up automatically.
 
 mod scalar;
 
@@ -45,24 +49,30 @@ pub const INT_MR: usize = 4;
 /// Weight rows (output features) per integer panel and register tile: two
 /// 8-lane `i32` vectors per activation row on AVX2.
 pub const INT_NR: usize = 16;
-/// Depth of one `K` block of the integer GEMM: the largest multiple of 256
-/// for which a block of widened activations (`INT_MR · INT_KC` `i16`s,
-/// 10 KiB) plus the panel slice it meets (`INT_NR · INT_KC` bytes, 20 KiB)
-/// fit a 32 KiB L1. Even, so every block starts on a whole `K` pair.
+/// Depth of one `K` block of the integer GEMM: the block of raw activation
+/// levels (`INT_MR · INT_KC` bytes, 5 KiB) plus the panel slice it meets
+/// (`INT_NR · INT_KC` bytes, 20 KiB) fit a 32 KiB L1. No served layer is
+/// deeper than 1152, so every one runs as a single block.
 pub const INT_KC: usize = 1280;
 
+// Every K block must start on a whole quad: the driver hands the tile
+// `&panel[k0 * INT_NR..]`, which is a quad boundary only if `k0 % 4 == 0`.
+const _: () = assert!(INT_KC.is_multiple_of(4));
+
 /// Byte offset of weight `(p, j)` — depth `p`, column `j < INT_NR` — inside
-/// one integer weight panel: `K` pairs outermost, then the columns, then
-/// the pair's two depths, so the 32 bytes at `32·(p/2)` are everything one
-/// `vpmaddwd` step of the tile needs.
+/// one integer weight panel: `K` quads outermost, then the columns, then
+/// the quad's four depths. So the 64 bytes at `64·(p/4)` are one tile step:
+/// each 32-byte half is eight columns' four-depth dot-product operands,
+/// exactly what one `vpdpbusd` multiplies against a broadcast quad of levels.
 pub const fn int_panel_index(p: usize, j: usize) -> usize {
-    (p / 2) * 2 * INT_NR + 2 * j + p % 2
+    (p / 4) * 4 * INT_NR + 4 * j + p % 4
 }
 
-/// Bytes of one integer weight panel of depth `k` (odd depths are padded to
-/// a whole pair with a zero weight).
+/// Bytes of one integer weight panel of depth `k`: `ceil(k/4)·4·INT_NR`
+/// (a depth that is not a multiple of 4 is padded to a whole quad with zero
+/// weights).
 pub const fn int_panel_len(k: usize) -> usize {
-    k.div_ceil(2) * 2 * INT_NR
+    k.div_ceil(4) * 4 * INT_NR
 }
 
 /// One SIMD backend: the complete set of dispatched micro-kernels.
@@ -72,7 +82,8 @@ pub const fn int_panel_len(k: usize) -> usize {
 /// must be bitwise identical to [`SCALAR`]'s results; `exp_sub_sum` may
 /// differ from scalar by a small ULP bound.
 pub trait SimdOps: Sync {
-    /// Stable identifier of the backend (`"scalar"`, `"avx2"`).
+    /// Stable identifier of the backend (`"scalar"`, `"avx2"`,
+    /// `"avx2-vnni"`).
     fn name(&self) -> &'static str;
 
     /// The register-blocked GEMM inner kernel:
@@ -88,21 +99,23 @@ pub trait SimdOps: Sync {
     /// The register-blocked integer GEMM inner kernel, shaped like
     /// [`SimdOps::micro_kernel_f32`]:
     /// `acc[i][j] += Σ_{p < kc} a[i][p] · w(p, j)`, where `a` holds
-    /// [`INT_MR`] rows of unsigned activation levels widened to `i16` and
-    /// `w` is (a `K` slice of) one weight panel in the layout of
-    /// [`int_panel_index`]: two's-complement `i8` bytes, [`INT_NR`] columns
-    /// wide, consecutive `K` pairs interleaved per column. Accumulation is
-    /// exact in `i32` — order-independent, hence bitwise on every arch and
-    /// under any tiling or `K`-blocking the caller chooses.
+    /// [`INT_MR`] rows of raw unsigned activation levels (`u8`, as the
+    /// quantizer wrote them) and `w` is (a `K` slice of) one weight panel in
+    /// the layout of [`int_panel_index`]: two's-complement `i8` bytes,
+    /// [`INT_NR`] columns wide, consecutive `K` quads interleaved per column.
+    /// Accumulation is exact in `i32` — order-independent, hence bitwise on
+    /// every arch and under any tiling or `K`-blocking the caller chooses.
     ///
-    /// `w` must hold `kc` rounded up to a whole pair. A backend may multiply
-    /// through the last pair of an odd `kc` in full, so that pair's second
-    /// weight must be the zero padding the layout prescribes; what `a` holds
-    /// past `kc` is then irrelevant. Levels are `0..=255`, and
-    /// the total depth accumulated into one `acc` stays `≤ 2^16`, which
-    /// keeps `Σ 255·127` inside `i32`; the integer operands' one
-    /// constructor (`tia_quant::QuantizedWeights::quantize_rows`) refuses
-    /// deeper rows, so no caller can exceed it.
+    /// `w` must hold `kc` rounded up to a whole quad. A backend may multiply
+    /// through the last quad of a `kc` that is not a multiple of 4 in full,
+    /// so that quad's 1–3 trailing weights must be the zero padding the
+    /// layout prescribes; what `a` holds past `kc` (always inside the row,
+    /// since `INT_KC` is a multiple of 4) is then irrelevant. Levels are
+    /// `0..=255` and weights `-127..=127`, and the total depth accumulated
+    /// into one `acc` stays `≤ 2^16`: `2^16 · 255 · 127 < 2^31` keeps every
+    /// partial sum inside `i32`. The integer operands' one constructor
+    /// (`tia_quant::QuantizedWeights::quantize_rows`) refuses deeper rows,
+    /// so no caller can exceed it.
     ///
     /// # Panics
     ///
@@ -110,7 +123,7 @@ pub trait SimdOps: Sync {
     fn micro_kernel_i32(
         &self,
         kc: usize,
-        a: &[[i16; INT_KC]; INT_MR],
+        a: &[[u8; INT_KC]; INT_MR],
         w: &[u8],
         acc: &mut [[i32; INT_NR]; INT_MR],
     );
@@ -191,31 +204,30 @@ pub fn backend(mode: KernelMode) -> &'static dyn SimdOps {
     }
 }
 
-/// Runtime-detects the best backend for this host (done once, cached).
+/// Runtime-detects the best backend for this host (done once, cached): the
+/// last entry of [`available`].
 pub fn detect() -> &'static dyn SimdOps {
     static FOUND: OnceLock<&'static dyn SimdOps> = OnceLock::new();
-    *FOUND.get_or_init(native)
+    *FOUND.get_or_init(|| available().pop().unwrap_or(&SCALAR))
+}
+
+/// Every backend this host can run, scalar first and best last: `scalar`,
+/// then `avx2` if AVX2 is detected, then `avx2-vnni` if AVX-VNNI is too.
+/// `native` dispatches to the last; the differential suites run them all,
+/// so the bodies a better host never dispatches to are still tested on it.
+pub fn available() -> Vec<&'static dyn SimdOps> {
+    let mut found: Vec<&'static dyn SimdOps> = vec![&SCALAR];
+    #[cfg(target_arch = "x86_64")]
+    for ops in avx2::detected() {
+        found.push(ops);
+    }
+    found
 }
 
 /// The name of the backend `Native` dispatches to on this host — logged by
 /// `tia-served` at startup and recorded in bench metadata.
 pub fn detect_name() -> &'static str {
     detect().name()
-}
-
-#[cfg(target_arch = "x86_64")]
-fn native() -> &'static dyn SimdOps {
-    if is_x86_feature_detected!("avx2") {
-        static AVX2: avx2::Avx2Ops = avx2::Avx2Ops;
-        &AVX2
-    } else {
-        &SCALAR
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn native() -> &'static dyn SimdOps {
-    &SCALAR
 }
 
 #[cfg(test)]
@@ -234,10 +246,27 @@ mod tests {
     }
 
     #[test]
+    fn native_is_the_last_available_backend() {
+        let all: Vec<_> = available().iter().map(|ops| ops.name()).collect();
+        assert_eq!(all[0], "scalar");
+        assert_eq!(all.last(), Some(&detect_name()));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vnni_is_available_exactly_when_the_host_has_it() {
+        let names: Vec<_> = available().iter().map(|ops| ops.name()).collect();
+        let avx2 = is_x86_feature_detected!("avx2");
+        let vnni = avx2 && is_x86_feature_detected!("avxvnni");
+        assert_eq!(names.contains(&"avx2"), avx2, "{names:?}");
+        assert_eq!(names.contains(&"avx2-vnni"), vnni, "{names:?}");
+    }
+
+    #[test]
     fn panel_index_is_a_bijection_onto_the_padded_panel() {
-        for k in [1usize, 2, 5, 16] {
+        for k in [1usize, 2, 3, 4, 5, 6, 16, 146] {
             let mut seen = vec![false; int_panel_len(k)];
-            for p in 0..k.div_ceil(2) * 2 {
+            for p in 0..k.div_ceil(4) * 4 {
                 for j in 0..INT_NR {
                     assert!(!std::mem::replace(&mut seen[int_panel_index(p, j)], true));
                 }

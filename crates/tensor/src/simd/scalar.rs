@@ -37,7 +37,7 @@ impl SimdOps for ScalarOps {
     fn micro_kernel_i32(
         &self,
         kc: usize,
-        a: &[[i16; INT_KC]; INT_MR],
+        a: &[[u8; INT_KC]; INT_MR],
         w: &[u8],
         acc: &mut [[i32; INT_NR]; INT_MR],
     ) {
@@ -82,22 +82,22 @@ mod tests {
     /// (`w[p][j]`, `kc × INT_NR` signed weights), packed the way the driver
     /// and the weight constructor do.
     fn tile(kc: usize, a: &[u8], w: &[i8], acc: &mut [[i32; INT_NR]; INT_MR]) {
-        let mut wide = [[0i16; INT_KC]; INT_MR];
+        let mut rows = [[0u8; INT_KC]; INT_MR];
         let mut panel = vec![0u8; int_panel_len(kc)];
         for p in 0..kc {
-            for (i, row) in wide.iter_mut().enumerate() {
-                row[p] = a[i * kc + p] as i16;
+            for (i, row) in rows.iter_mut().enumerate() {
+                row[p] = a[i * kc + p];
             }
             for j in 0..INT_NR {
                 panel[int_panel_index(p, j)] = w[p * INT_NR + j] as u8;
             }
         }
-        ScalarOps.micro_kernel_i32(kc, &wide, &panel, acc);
+        ScalarOps.micro_kernel_i32(kc, &rows, &panel, acc);
     }
 
     #[test]
     fn tile_matches_manual() {
-        // Depth 5 (odd: the last pair is half padding), the u8 and i8
+        // Depth 5 (the last quad is three quarters padding), the u8 and i8
         // extremes, distinct rows and columns.
         let kc = 5;
         let a: Vec<u8> = (0..INT_MR * kc)

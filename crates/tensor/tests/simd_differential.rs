@@ -7,18 +7,26 @@
 //! backend; only the transcendental tail (`exp_sub_sum`) is tolerance-tier,
 //! bounded in ULPs.
 
+use std::io::Write;
+use std::sync::Once;
 use tia_tensor::simd::{
     self, int_panel_index, int_panel_len, KernelMode, SimdOps, INT_KC, INT_MR, INT_NR, MR, NR,
 };
 use tia_tensor::{gemm_ws, softmax_rows, SeededRng, Tensor, Workspace};
 
-/// The backends under test: the pinned reference plus whatever `native`
-/// resolves to on this host (possibly scalar again — still a valid run).
+/// The backends under test: every one this host can run, the pinned
+/// reference first (on a host with VNNI that includes the plain-AVX2 tile,
+/// which `native` never dispatches to). Their names go to stderr once,
+/// past the test harness's capture, so a CI log shows which bodies ran.
 fn backends() -> Vec<&'static dyn SimdOps> {
-    vec![
-        simd::backend(KernelMode::Scalar),
-        simd::backend(KernelMode::Native),
-    ]
+    let all = simd::available();
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let names: Vec<_> = all.iter().map(|ops| ops.name()).collect();
+        // A failed diagnostic write must not fail the suite.
+        writeln!(std::io::stderr(), "simd_differential backends: {names:?}").ok();
+    });
+    all
 }
 
 fn ulp_distance(a: f32, b: f32) -> u32 {
@@ -88,18 +96,19 @@ fn pack_row_is_bitwise_equal_across_backends() {
 /// One integer tile problem in the kernel's own operand layout.
 struct TileCase {
     kc: usize,
-    a: Box<[[i16; INT_KC]; INT_MR]>,
+    a: Box<[[u8; INT_KC]; INT_MR]>,
     w: Vec<u8>,
     acc: [[i32; INT_NR]; INT_MR],
 }
 
 impl TileCase {
     /// `level(i, p)` and `weight(p, j)` fill the valid depth; everything
-    /// past it — the rest of each activation row, and the panel's padding
-    /// weight when `kc` is odd — is `a_pad` and zero.
+    /// past it — the rest of each activation row, and the panel's 1–3
+    /// padding weights when `kc` is not a multiple of 4 — is `a_pad` and
+    /// zero.
     fn new(
         kc: usize,
-        a_pad: i16,
+        a_pad: u8,
         acc: i32,
         mut level: impl FnMut(usize, usize) -> u8,
         mut weight: impl FnMut(usize, usize) -> i8,
@@ -108,7 +117,7 @@ impl TileCase {
         let mut w = vec![0u8; int_panel_len(kc)];
         for p in 0..kc {
             for (i, row) in a.iter_mut().enumerate() {
-                row[p] = level(i, p) as i16;
+                row[p] = level(i, p);
             }
             for j in 0..INT_NR {
                 w[int_panel_index(p, j)] = weight(p, j) as u8;
@@ -160,7 +169,22 @@ impl TileCase {
 #[test]
 fn integer_tile_is_exact_across_backends() {
     let mut rng = SeededRng::new(103);
-    for kc in [0usize, 1, 2, 3, 15, 16, 17, 143, 144, INT_KC - 1, INT_KC] {
+    for kc in [
+        0usize,
+        1,
+        2,
+        3,
+        6,
+        15,
+        16,
+        17,
+        143,
+        144,
+        146,
+        INT_KC - 2,
+        INT_KC - 1,
+        INT_KC,
+    ] {
         // u8 levels against full-range i8 weights, extremes 255 and -128
         // included, into accumulators a previous K block already filled.
         for acc in [0, -1_000_003] {
@@ -189,10 +213,10 @@ fn integer_tile_is_exact_across_backends() {
 
 #[test]
 fn odd_depth_padding_is_inert_on_every_backend() {
-    // An odd depth's last pair is half padding: the panel's padding weight
-    // is zero by layout, so whatever the activation row holds past `kc`
-    // (here the largest level, widened) must not reach any sum.
-    for kc in [1usize, 7, 17, 143, INT_KC - 1] {
+    // A depth 1–3 short of a quad ends in a partial quad: the panel's
+    // padding weights are zero by layout, so whatever the activation row
+    // holds past `kc` (here the largest level) must not reach any sum.
+    for kc in [1usize, 2, 6, 7, 17, 143, 146, INT_KC - 2, INT_KC - 1] {
         TileCase::new(
             kc,
             255,

@@ -10,13 +10,14 @@
 //! every output bit after the GEMM. Geometries are drawn to hit what a fixed
 //! model never does: 1/3/5 kernels, stride 2 with odd sizes, padding wider
 //! than the kernel reach, `H != W`, channel counts that are no multiple of a
-//! vector, and odd depths (a `K` pair's padding weight).
+//! vector, and depths that end in a partial `K` quad (its padding weights).
 //!
 //! One tier further down, `gemm_quant_strided_matches_naive_on_tile_edges`
 //! fuzzes the blocked GEMM driver itself on shapes chosen to straddle its
-//! tile, panel and `K`-block edges, against a reference that knows nothing
-//! of tiles.
+//! tile, panel, `K`-quad and `K`-block edges, against a reference that
+//! knows nothing of tiles, on every backend the host can run.
 
+use std::io::Write;
 use two_in_one_accel::nn::{Conv2d, Layer};
 use two_in_one_accel::prelude::*;
 use two_in_one_accel::quant::{
@@ -229,7 +230,7 @@ const POISON: u32 = 0x7FC0_DEAD;
 fn tile_edge_case(seed: u64) {
     let mut rng = SeededRng::new(seed);
     // Groups of 1, 3 or 9 rows straddle the INT_MR-row blocks; widths and
-    // depths sit on both sides of a panel, a K pair and a K block.
+    // depths sit on both sides of a panel, a K quad and a K block.
     let groups = 1 + rng.below(4);
     let rpg = *rng.choose(&[1, 1, 3, 3, 9, INT_MR, 2 * INT_MR + 1]);
     let n = *rng.choose(&[1, 2, 10, INT_NR - 1, INT_NR, INT_NR + 1, 2 * INT_NR + 3]);
@@ -237,15 +238,18 @@ fn tile_edge_case(seed: u64) {
         1,
         2,
         3,
+        6,
         7,
         16,
         17,
         33,
         144,
         145,
+        146,
         INT_KC - 1,
         INT_KC,
         INT_KC + 1,
+        INT_KC + 2,
         2 * INT_KC + 1,
     ]);
     let bits = 2 + rng.below(7) as u8;
@@ -318,8 +322,8 @@ fn tile_edge_case(seed: u64) {
     }
     let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
 
-    for mode in [KernelMode::Native, KernelMode::Scalar] {
-        let ops = simd::backend(mode);
+    for ops in simd::available() {
+        let name = ops.name();
         // The whole call: every reached element equals the reference, every
         // other element (gaps, tail, and so whatever a padded lane of an
         // edge tile computed) still holds the poison.
@@ -328,7 +332,7 @@ fn tile_edge_case(seed: u64) {
             ops, m, k, &levels, &scales, &zps, &q, bias, &mut out, strides,
         );
         let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "{shape} [{mode}]");
+        assert_eq!(got, want, "{shape} [{name}]");
 
         // Whole call ≡ one call per group: where a row falls in a block of
         // INT_MR cannot matter.
@@ -348,12 +352,15 @@ fn tile_edge_case(seed: u64) {
             );
         }
         let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "{shape} [{mode}, one call per group]");
+        assert_eq!(got, want, "{shape} [{name}, one call per group]");
     }
 }
 
 #[test]
 fn gemm_quant_strided_matches_naive_on_tile_edges() {
+    // Which tile bodies this run covers, written past the harness's capture.
+    let names: Vec<_> = simd::available().iter().map(|ops| ops.name()).collect();
+    writeln!(std::io::stderr(), "tile edge fuzz backends: {names:?}").ok();
     for case in 0..320u64 {
         tile_edge_case(0x71E5_ED6E ^ (case << 32));
     }
