@@ -42,11 +42,6 @@ impl DnnGuardModel {
     pub fn products_per_cycle(&self, units: usize) -> f64 {
         units as f64 * (1.0 - self.detector_share) * (1.0 - self.orchestration_tax)
     }
-
-    /// Units affordable under an area budget (standard MAC = 1.0 area).
-    pub fn units_for_area(&self, area_budget: f64) -> usize {
-        area_budget.max(0.0) as usize
-    }
 }
 
 #[cfg(test)]
@@ -67,11 +62,5 @@ mod tests {
             orchestration_tax: 0.0,
         };
         assert_eq!(m.products_per_cycle(64), 64.0);
-    }
-
-    #[test]
-    fn units_for_area_floor() {
-        let m = DnnGuardModel::default();
-        assert_eq!(m.units_for_area(4505.6), 4505);
     }
 }

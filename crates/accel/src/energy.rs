@@ -19,14 +19,6 @@ pub enum MemLevel {
     Rf,
 }
 
-/// All levels, outermost first.
-pub const MEM_LEVELS: [MemLevel; 4] = [
-    MemLevel::Dram,
-    MemLevel::GlobalBuffer,
-    MemLevel::Noc,
-    MemLevel::Rf,
-];
-
 impl MemLevel {
     /// Short display name.
     pub fn name(&self) -> &'static str {
@@ -52,6 +44,14 @@ pub fn mem_energy_per_bit(level: MemLevel) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All levels, outermost first.
+    const MEM_LEVELS: [MemLevel; 4] = [
+        MemLevel::Dram,
+        MemLevel::GlobalBuffer,
+        MemLevel::Noc,
+        MemLevel::Rf,
+    ];
 
     #[test]
     fn hierarchy_energy_is_monotone() {

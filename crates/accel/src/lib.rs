@@ -21,7 +21,8 @@
 //! area fractions, "2.3× throughput/area and 4.88× energy-efficiency/op vs
 //! Bit Fusion at 8-bit×8-bit" (§3.2.3) and "shifter+accumulator ≈ 90 % of a
 //! 16-bit bit-serial unit" (§3.1.2). We cannot re-run 28 nm synthesis, so
-//! these scalars stand in for the gate-level netlists (see DESIGN.md).
+//! these scalars stand in for the gate-level netlists (see
+//! docs/ARCHITECTURE.md "Substitutions").
 //!
 //! The crate also provides the shared memory-energy model and the DNNGuard
 //! robustness-aware baseline used in §4.3.2.
@@ -42,13 +43,11 @@
 #![deny(missing_docs)]
 
 mod area;
-mod dispatcher;
 mod dnnguard;
 mod energy;
 mod mac;
 
 pub use area::AreaBreakdown;
-pub use dispatcher::{Dispatcher, GRANULARITIES};
 pub use dnnguard::DnnGuardModel;
-pub use energy::{mem_energy_per_bit, MemLevel, MEM_LEVELS};
+pub use energy::{mem_energy_per_bit, MemLevel};
 pub use mac::{MacKind, MacUnit, PrecisionPair};

@@ -8,7 +8,7 @@
 //! restarts keep the strongest example (per batch). The full AutoAttack
 //! suite additionally runs APGD-T/FAB/Square; APGD-CE with restarts is the
 //! dominant component against undefended gradients and serves the same
-//! "strong adaptive attack" role here (substitution documented in DESIGN.md).
+//! "strong adaptive attack" role here (docs/ARCHITECTURE.md "Substitutions").
 
 use crate::model::{LossKind, TargetModel};
 use crate::{project, Attack};

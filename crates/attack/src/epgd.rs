@@ -31,11 +31,6 @@ impl EPgd {
             set,
         }
     }
-
-    /// The precision set the attack ensembles over.
-    pub fn precision_set(&self) -> &PrecisionSet {
-        &self.set
-    }
 }
 
 impl Attack for EPgd {

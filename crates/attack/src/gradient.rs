@@ -106,12 +106,6 @@ impl Pgd {
         }
     }
 
-    /// Overrides the step size.
-    pub fn with_alpha(mut self, alpha: f32) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
     /// Sets the number of random restarts.
     pub fn with_restarts(mut self, restarts: usize) -> Self {
         self.restarts = restarts.max(1);

@@ -1,8 +1,8 @@
 //! Calibration utility: sweeps the attack budget and prints natural/robust
 //! accuracy for PGD-7 training with and without RPS, plus a small
 //! transferability diagnostic. Used to pick the reduced-scale experiment
-//! constants documented in EXPERIMENTS.md; kept for re-calibration when
-//! dataset profiles change.
+//! constants documented in docs/ARCHITECTURE.md "Substitutions"; kept for
+//! re-calibration when dataset profiles change.
 
 use tia_attack::Pgd;
 use tia_bench::{default_rps_set, pct, train_model, Arch, Scale};

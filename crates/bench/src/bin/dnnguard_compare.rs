@@ -9,7 +9,7 @@ use tia_sim::{dnnguard_throughput, Accelerator};
 fn main() {
     banner(
         "Sec 4.3.2: 2-in-1 Accelerator vs DNNGuard",
-        "DNNGuard modelled charitably (shares our memory system); see DESIGN.md",
+        "DNNGuard modelled charitably (shares our memory system); see docs/ARCHITECTURE.md \"Substitutions\"",
     );
     let mut ours = Accelerator::ours();
     let budget = 4.4 * 1024.0;

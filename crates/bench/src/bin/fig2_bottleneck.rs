@@ -10,7 +10,7 @@ use tia_sim::Accelerator;
 fn main() {
     banner(
         "Figure 2: Bit Fusion vs Stripes, ResNet-50/ImageNet, 1-16 bit",
-        "analytical simulator calibrated per DESIGN.md",
+        "analytical simulator calibrated per docs/ARCHITECTURE.md \"Substitutions\"",
     );
     let net = NetworkSpec::resnet50_imagenet();
     let mut bf = Accelerator::bitfusion();

@@ -11,7 +11,7 @@ fn main() {
     let scale = Scale::from_env();
     banner(
         "Table 5: stronger attacks on CIFAR-10-like (PGD-7 vs PGD-7+RPS)",
-        "AutoAttack represented by its APGD-CE core; see DESIGN.md",
+        "AutoAttack represented by its APGD-CE core; see docs/ARCHITECTURE.md \"Substitutions\"",
     );
     let profile = DatasetProfile::cifar10_like();
     for arch in [Arch::PreActResNet18, Arch::WideResNet32] {

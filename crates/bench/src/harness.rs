@@ -2,7 +2,7 @@
 //!
 //! The container this reproduction builds in has no third-party crates, so
 //! instead of Criterion the bench binaries (declared `harness = false`) use
-//! this ~80-line timer: warm up, then run timed batches until a wall-clock
+//! this small timer: warm up, then run timed batches until a wall-clock
 //! budget is spent, and report the per-iteration mean of the fastest batch
 //! (the usual low-noise estimator for short kernels).
 
@@ -21,44 +21,12 @@ pub struct BenchResult {
     pub ns_per_iter: f64,
 }
 
-impl BenchResult {
-    /// Iterations per second implied by the fastest batch.
-    pub fn per_sec(&self) -> f64 {
-        1e9 / self.ns_per_iter.max(1e-3)
-    }
-}
-
-/// Whether `TIA_BENCH_SMOKE` requests single-iteration smoke mode: every
-/// benchmark runs exactly once, just proving the harness compiles and the
-/// benchmarked paths still execute (the CI usage). Numbers produced in
-/// smoke mode are not meaningful and must not be snapshotted.
-pub fn smoke_mode() -> bool {
-    std::env::var_os("TIA_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
-
 /// Times `f`, printing and returning the result.
 ///
 /// Budget: ~60 ms warmup, ~300 ms measurement, batches sized so each takes
 /// ≥10 ms. Honest for everything from nanosecond kernels to multi-ms
-/// simulations without Criterion's dependency footprint. Under
-/// [`smoke_mode`] the closure runs exactly once.
+/// simulations without Criterion's dependency footprint.
 pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> BenchResult {
-    if smoke_mode() {
-        // tia-lint: allow(determinism, a wall-clock timer is the whole point of a bench harness)
-        let t = Instant::now();
-        black_box(f());
-        let result = BenchResult {
-            name: name.to_string(),
-            iters: 1,
-            // tia-lint: allow(determinism, bench harness measures wall time by design)
-            ns_per_iter: t.elapsed().as_nanos() as f64,
-        };
-        println!(
-            "{:<40} smoke: 1 iter in {:.1} ns",
-            result.name, result.ns_per_iter
-        );
-        return result;
-    }
     // Warmup: run until 60 ms elapse (at least once).
     // tia-lint: allow(determinism, bench harness measures wall time by design)
     let warm_start = Instant::now();
@@ -97,7 +65,7 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> BenchResult {
         "{:<40} {:>14.1} ns/iter {:>14.1} iters/s ({} iters)",
         result.name,
         result.ns_per_iter,
-        result.per_sec(),
+        1e9 / result.ns_per_iter.max(1e-3),
         result.iters
     );
     result

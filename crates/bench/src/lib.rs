@@ -1,12 +1,12 @@
 //! # tia-bench
 //!
 //! Experiment regenerators: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md's per-experiment index) plus Criterion
-//! microbenchmarks.
+//! evaluation, named after it, plus microbenchmarks on the crate's own
+//! [`harness`].
 //!
 //! Algorithm-side experiments train reduced-scale models on synthetic data
-//! (DESIGN.md "Substitutions"); set `TIA_QUICK=1` to shrink them further for
-//! smoke runs. Architecture-side experiments run the full-size layer-shape
+//! (docs/ARCHITECTURE.md "Substitutions"); set `TIA_QUICK=1` to shrink them
+//! further for smoke runs. Architecture-side experiments run the full-size layer-shape
 //! workloads through the analytical simulator and are fast regardless.
 
 pub mod harness;
@@ -24,7 +24,8 @@ use tia_tensor::SeededRng;
 /// The reproduction's CIFAR-class attack budget. The paper uses ε = 8/255 on
 /// natural images; our synthetic classes have wider margins than CIFAR, so ε
 /// is scaled 1.5x to keep the attack strength comparable *relative to the
-/// class margin* — chosen by the `calib_check` sweep (see EXPERIMENTS.md).
+/// class margin* — chosen by the `calib_check` sweep (see
+/// docs/ARCHITECTURE.md "Substitutions").
 pub const EPS_CIFAR: f32 = 12.0 / 255.0;
 /// ImageNet-class budget, scaled from the paper's 4/255 by the same factor.
 pub const EPS_IMAGENET: f32 = 6.0 / 255.0;

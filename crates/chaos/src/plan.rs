@@ -147,16 +147,6 @@ pub enum Event {
     Shutdown,
 }
 
-impl Event {
-    /// The infer id this event carries, if any.
-    pub fn infer_id(&self) -> Option<u64> {
-        match self {
-            Event::Infer { id, .. } | Event::SlowInfer { id, .. } => Some(*id),
-            _ => None,
-        }
-    }
-}
-
 /// A full run schedule: one event script per peer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
@@ -478,6 +468,14 @@ fn truncate(id: u64, rng: &mut SeededRng) -> Event {
 mod tests {
     use super::*;
 
+    /// The infer id an event carries, if any.
+    fn infer_id(event: &Event) -> Option<u64> {
+        match event {
+            Event::Infer { id, .. } | Event::SlowInfer { id, .. } => Some(*id),
+            _ => None,
+        }
+    }
+
     #[test]
     fn generation_is_a_pure_function_of_its_inputs() {
         for scenario in Scenario::ALL {
@@ -515,7 +513,7 @@ mod tests {
         let s = Schedule::generate(Scenario::Hostile, 9, 4, 20);
         let mut seen = std::collections::BTreeSet::new();
         for script in &s.scripts {
-            for id in script.iter().filter_map(Event::infer_id) {
+            for id in script.iter().filter_map(infer_id) {
                 assert!(seen.insert(id), "duplicate planned id {id}");
             }
         }

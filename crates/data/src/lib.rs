@@ -16,7 +16,7 @@
 //! The RPS mechanism under test (poor transferability of gradient attacks
 //! across quantization precisions) is a property of quantized networks, not
 //! of natural images, so the qualitative orderings reproduce on this
-//! substrate. See DESIGN.md ("Substitutions").
+//! substrate. See docs/ARCHITECTURE.md ("Substitutions").
 //!
 //! # Example
 //!
@@ -31,12 +31,10 @@
 
 #![deny(missing_docs)]
 
-mod augment;
 mod dataset;
 mod profile;
 mod synth;
 
-pub use augment::Augment;
 pub use dataset::{BatchIter, Dataset};
 pub use profile::DatasetProfile;
 pub use synth::generate;

@@ -56,20 +56,9 @@ impl ArchConfig {
         Self::with_mac_area_budget(kind, 4.4 * 1024.0)
     }
 
-    /// Total MAC-array area actually used.
-    pub fn mac_array_area(&self) -> f64 {
-        self.units as f64 * self.mac.area()
-    }
-
     /// Overrides the global buffer size (micro-architecture search).
     pub fn with_gb_bytes(mut self, bytes: usize) -> Self {
         self.gb_bytes = bytes;
-        self
-    }
-
-    /// Overrides the unit count (micro-architecture search).
-    pub fn with_units(mut self, units: usize) -> Self {
-        self.units = units.max(1);
         self
     }
 }
@@ -77,6 +66,11 @@ impl ArchConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total MAC-array area actually used.
+    fn mac_array_area(cfg: &ArchConfig) -> f64 {
+        cfg.units as f64 * cfg.mac.area()
+    }
 
     #[test]
     fn budget_divides_by_unit_area() {
@@ -98,8 +92,8 @@ mod tests {
         ] {
             let cfg = ArchConfig::paper_budget(kind);
             let budget = 4.4 * 1024.0;
-            assert!(cfg.mac_array_area() <= budget);
-            assert!(cfg.mac_array_area() >= budget - cfg.mac.area());
+            assert!(mac_array_area(&cfg) <= budget);
+            assert!(mac_array_area(&cfg) >= budget - cfg.mac.area());
         }
     }
 }

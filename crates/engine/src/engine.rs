@@ -111,8 +111,7 @@ pub struct Response {
     pub precision: Option<Precision>,
 }
 
-/// Aggregate serving statistics since construction (or the last
-/// [`Engine::reset_stats`]).
+/// Aggregate serving statistics since construction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     /// Requests completed.
@@ -302,11 +301,6 @@ impl<B: Backend> Coordinator<Inline<B>> {
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.exec.backend
     }
-
-    /// Unwraps into the backend.
-    pub fn into_backend(self) -> B {
-        self.exec.backend
-    }
 }
 
 impl<X: Executor> Coordinator<X> {
@@ -331,11 +325,6 @@ impl<X: Executor> Coordinator<X> {
         &self.policy
     }
 
-    /// Replaces the policy (takes effect for subsequent submissions).
-    pub fn set_policy(&mut self, policy: PrecisionPolicy) {
-        self.policy = policy;
-    }
-
     /// The live degradation level applied to [`PrecisionPolicy::Adaptive`]
     /// draws (0 = the full set).
     pub fn degrade_level(&self) -> u8 {
@@ -358,19 +347,14 @@ impl<X: Executor> Coordinator<X> {
         self.stats
     }
 
-    /// Clears the serving statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = EngineStats::default();
-    }
-
     /// Number of submitted-but-unserved requests.
     pub fn pending(&self) -> usize {
         self.pending.len()
     }
 
-    /// Number of completed non-empty [`Engine::flush`] cycles (monotonic;
-    /// survives [`Engine::reset_stats`]). The serving layer's flight
-    /// recorder uses it to label per-cycle engine spans.
+    /// Number of completed non-empty [`Engine::flush`] cycles (monotonic).
+    /// The serving layer's flight recorder uses it to label per-cycle
+    /// engine spans.
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
@@ -622,7 +606,7 @@ mod tests {
         assert_eq!(got[2], stream(&adaptive(), 9, 3)[2], "{surface}");
 
         // Stats count requests, micro-batches and frames; cycles count
-        // non-empty flushes and survive a stats reset.
+        // non-empty flushes.
         let mut eng = make(PrecisionPolicy::Fixed(pin), cfg(6));
         assert!(eng.flush().is_empty());
         assert_eq!(eng.cycles(), 0, "{surface}: an empty flush is no cycle");
@@ -634,8 +618,6 @@ mod tests {
             "{surface}: {} batches",
             s.batches
         );
-        eng.reset_stats();
-        assert_eq!((eng.stats().requests, eng.cycles()), (0, 1));
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl PrecisionPolicy {
         }
     }
 
-    /// Whether the policy can ever return two different precisions.
-    pub fn is_random(&self) -> bool {
-        match self {
-            PrecisionPolicy::Fixed(_) => false,
-            PrecisionPolicy::Random(set) | PrecisionPolicy::Adaptive(set) => set.len() > 1,
-        }
-    }
-
     /// The highest degradation level that still changes the sampled
     /// window: one less than the adaptive set's size (0 for non-adaptive
     /// policies, which never degrade).
@@ -102,7 +94,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(p.sample(&mut rng), Some(Precision::new(6)));
         }
-        assert!(!p.is_random());
     }
 
     #[test]
@@ -110,7 +101,6 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let set = PrecisionSet::range(4, 8);
         let p = PrecisionPolicy::Random(set.clone());
-        assert!(p.is_random());
         for _ in 0..50 {
             assert!(set.contains(p.sample(&mut rng).unwrap()));
         }
@@ -143,7 +133,6 @@ mod tests {
                 .unwrap();
             assert_eq!(f.bits(), 6);
         }
-        assert!(p.is_random());
         assert_eq!(p.max_degrade_level(), 4);
         assert_eq!(PrecisionPolicy::Fixed(None).max_degrade_level(), 0);
     }

@@ -49,15 +49,9 @@ impl<B: Backend> SimBacked<B> {
     /// both accrue here, since each runs the priced forward pass. Gradient
     /// queries (`loss_and_input_grad` / `loss_value`) are deliberately not
     /// billed: they model the *attacker's* compute, not the defender's
-    /// accelerator. Use [`SimBacked::reset_ledger`] to scope a measurement
-    /// to one serving window.
+    /// accelerator.
     pub fn ledger(&self) -> BatchCost {
         self.ledger
-    }
-
-    /// Clears the served-cost ledger.
-    pub fn reset_ledger(&mut self) {
-        self.ledger = BatchCost::default();
     }
 
     /// The workload priced by the cost model.
@@ -68,16 +62,6 @@ impl<B: Backend> SimBacked<B> {
     /// Borrows the wrapped backend.
     pub fn inner(&self) -> &B {
         &self.inner
-    }
-
-    /// Mutably borrows the wrapped backend.
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-
-    /// Unwraps into the inner backend.
-    pub fn into_inner(self) -> B {
-        self.inner
     }
 
     fn per_frame(&self, precision: Option<Precision>) -> (f64, f64, f64) {
@@ -156,7 +140,7 @@ mod tests {
         let x = Tensor::rand_uniform(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
         let mut sim = wrapped();
         let y_sim = sim.infer_batch(&x, Some(Precision::new(8)));
-        let mut plain = sim.into_inner();
+        let mut plain = sim.inner;
         let y_plain = plain.infer_batch(&x, Some(Precision::new(8)));
         assert_eq!(
             y_sim.data(),

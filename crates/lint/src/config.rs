@@ -197,7 +197,27 @@ pub struct Config {
     pub error_hygiene: Vec<String>,
     /// Scope of the unsafe-safety justification rule.
     pub unsafe_safety: Vec<String>,
+    /// Files whose `pub` items the unreferenced-pub rule checks.
+    pub unreferenced_include: Vec<String>,
+    /// Files whose uses keep a `pub` item alive.
+    pub unreferenced_references: Vec<String>,
 }
+
+/// Every section `lint.toml` may hold, with the keys it may set. Anything
+/// else is a typo that would silently leave a rule's scope empty.
+const SCHEMA: [(&str, &[&str]); 8] = [
+    ("scan", &["roots", "skip-dirs"]),
+    ("rules.panic-freedom", &["include"]),
+    (
+        "rules.determinism",
+        &["time-include", "time-seam", "map-iter-include"],
+    ),
+    ("rules.hot-path-alloc", &["include"]),
+    ("rules.atomic-ordering", &["include"]),
+    ("rules.error-hygiene", &["include"]),
+    ("rules.unsafe-safety", &["include"]),
+    ("rules.unreferenced-pub", &["include", "references"]),
+];
 
 impl Config {
     /// Builds a [`Config`] from parsed TOML, applying defaults for the
@@ -225,16 +245,59 @@ impl Config {
             atomic_ordering: t.list("rules.atomic-ordering", "include"),
             error_hygiene: t.list("rules.error-hygiene", "include"),
             unsafe_safety: t.list("rules.unsafe-safety", "include"),
+            unreferenced_include: t.list("rules.unreferenced-pub", "include"),
+            unreferenced_references: t.list("rules.unreferenced-pub", "references"),
         }
     }
 
-    /// Parses a `lint.toml` source string into a resolved configuration.
+    /// Parses a `lint.toml` source string into a resolved configuration,
+    /// rejecting any section or key the lint does not know.
     pub fn parse(src: &str) -> Result<Config, String> {
-        Ok(Config::from_toml(&Toml::parse(src)?))
+        let t = Toml::parse(src)?;
+        for (section, keys) in &t.sections {
+            let Some((_, known)) = SCHEMA.iter().find(|(s, _)| s == section) else {
+                return Err(format!("unknown section `[{section}]`"));
+            };
+            if let Some(key) = keys.keys().find(|k| !known.contains(&k.as_str())) {
+                return Err(format!("unknown key `{key}` in `[{section}]`"));
+            }
+        }
+        Ok(Config::from_toml(&t))
     }
 
-    /// A configuration that scopes *every* rule to the given path prefix —
-    /// used by the fixture tests.
+    /// Fails naming every configured path that does not exist under
+    /// `root`: a scope that matches nothing checks nothing.
+    pub fn check_paths(&self, root: &Path) -> Result<(), String> {
+        let missing: Vec<&str> = [
+            &self.roots,
+            &self.panic_freedom,
+            &self.time_include,
+            &self.time_seam,
+            &self.map_iter_include,
+            &self.hot_path,
+            &self.atomic_ordering,
+            &self.error_hygiene,
+            &self.unsafe_safety,
+            &self.unreferenced_include,
+            &self.unreferenced_references,
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|p| !root.join(p).exists())
+        .map(String::as_str)
+        .collect();
+        if missing.is_empty() {
+            Ok(())
+        } else {
+            Err(format!(
+                "configured path(s) do not exist: {}",
+                missing.join(", ")
+            ))
+        }
+    }
+
+    /// A configuration that scopes every per-file rule to the given path
+    /// prefix — used by the fixture tests.
     pub fn all_rules_at(prefix: &str) -> Config {
         let p = vec![prefix.to_string()];
         Config {
@@ -248,6 +311,8 @@ impl Config {
             atomic_ordering: p.clone(),
             error_hygiene: p.clone(),
             unsafe_safety: p,
+            unreferenced_include: Vec::new(),
+            unreferenced_references: Vec::new(),
         }
     }
 }
@@ -305,6 +370,28 @@ mod tests {
         assert!(err.contains("line 2"), "{err}");
         let err = Toml::parse("[unterminated\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+    }
+
+    #[test]
+    fn unknown_sections_and_keys_are_rejected() {
+        let err = Config::parse("[rules.panic-fredom]\ninclude = [\"crates\"]\n").unwrap_err();
+        assert!(err.contains("[rules.panic-fredom]"), "{err}");
+        let err = Config::parse("[rules.panic-freedom]\ninclde = [\"crates\"]\n").unwrap_err();
+        assert!(err.contains("`inclde`"), "{err}");
+        assert!(Config::parse("[rules.unreferenced-pub]\ninclude = [\"src\"]\n").is_ok());
+    }
+
+    #[test]
+    fn missing_configured_paths_are_named() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let cfg = Config::parse("[scan]\nroots = [\"src\", \"no-such-dir\"]\n").unwrap();
+        let err = cfg.check_paths(root).unwrap_err();
+        assert!(err.contains("no-such-dir") && !err.contains("src"), "{err}");
+        let cfg = Config::parse(
+            "[scan]\nroots = [\"src\"]\n[rules.unreferenced-pub]\nreferences = [\"tests\"]\n",
+        )
+        .unwrap();
+        assert!(cfg.check_paths(root).is_ok());
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! The rule engine: six invariant-contract rules plus the suppression and
-//! hot-path-region annotation machinery.
+//! The per-file rule engine: six invariant-contract rules plus the
+//! suppression and hot-path-region annotation machinery. The seventh rule,
+//! `unreferenced-pub`, needs the whole tree and runs from
+//! [`crate::lint_root`]; it shares this module's suppressions.
 //!
 //! | rule | contract it guards |
 //! |------|--------------------|
@@ -9,6 +11,7 @@
 //! | `atomic-ordering` | every `Ordering::` site carries an `// ordering:` justification; `Relaxed` must not be used for cross-thread handoff |
 //! | `error-hygiene`   | no `let _ =` silently discarding results in serve |
 //! | `unsafe-safety`   | every `unsafe` site (block, fn, impl) carries a `// safety:` justification — the SIMD kernel layer's audit trail |
+//! | `unreferenced-pub` | no `pub` item that no other file uses (cross-file, run by [`crate::lint_root`]) |
 //!
 //! Rules run on the lexer's masked code channel, skip `cfg(test)` regions,
 //! and honor `// tia-lint: allow(<rule>, <reason>)` on the same line or on
@@ -29,17 +32,20 @@ pub const ATOMIC_ORDERING: &str = "atomic-ordering";
 pub const ERROR_HYGIENE: &str = "error-hygiene";
 /// Rule identifier: `unsafe` sites must be justified.
 pub const UNSAFE_SAFETY: &str = "unsafe-safety";
+/// Rule identifier: public items must have a user outside their own tests.
+pub const UNREFERENCED_PUB: &str = "unreferenced-pub";
 /// Pseudo-rule for malformed `tia-lint:` annotations themselves.
 pub const ANNOTATION: &str = "annotation";
 
 /// Every real (suppressible) rule.
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 7] = [
     PANIC_FREEDOM,
     DETERMINISM,
     HOT_PATH_ALLOC,
     ATOMIC_ORDERING,
     ERROR_HYGIENE,
     UNSAFE_SAFETY,
+    UNREFERENCED_PUB,
 ];
 
 /// One finding: `file:line: [rule] message`.
@@ -202,6 +208,12 @@ fn parse_annotations(rel: &str, lexed: &LexedFile) -> Annotations {
         hot_regions,
         diags,
     }
+}
+
+/// Whether line index `idx` of a lexed file carries a valid suppression
+/// for `rule` (for the cross-file pass, which has no [`Annotations`]).
+pub(crate) fn annotation_allows(rel: &str, lexed: &LexedFile, idx: usize, rule: &str) -> bool {
+    parse_annotations(rel, lexed).allowed(idx, rule)
 }
 
 impl Annotations {

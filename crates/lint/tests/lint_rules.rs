@@ -3,11 +3,13 @@
 //! runs the full rule engine over the fixture (every rule scoped to the
 //! fixture directory) and requires the `(line, rule)` sets to match
 //! *exactly* — so tagged lines prove a rule fires, and untagged violations
-//! with `tia-lint: allow(...)` suppressions prove suppressions work.
+//! with `tia-lint: allow(...)` suppressions prove suppressions work. The
+//! cross-file `unreferenced-pub` rule is checked the same way over a
+//! directory fixture.
 
 use std::path::Path;
 use tia_lint::config::Config;
-use tia_lint::rules;
+use tia_lint::{lint_root, rules};
 
 /// Parses `//~ <rule>` expectation tags (one or more rules per tag).
 fn expectations(src: &str) -> Vec<(usize, String)> {
@@ -87,6 +89,55 @@ fn annotations_fixture() {
     run_fixture("annotations.rs");
 }
 
+/// The cross-file rule needs a tree: `lint_root` runs over the
+/// `unreferenced_pub/` directory with both of the rule's keys scoped to it,
+/// and the tags of all its files must match together.
+#[test]
+fn unreferenced_pub_fixture() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let cfg = Config::parse(
+        "[scan]\nroots = [\"unreferenced_pub\"]\n\
+         [rules.unreferenced-pub]\n\
+         include = [\"unreferenced_pub\"]\nreferences = [\"unreferenced_pub\"]\n",
+    )
+    .expect("fixture config parses");
+    let report = lint_root(&root, &cfg).expect("fixture tree lints");
+    let mut got: Vec<(String, usize, String)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.file.clone(), d.line, d.rule.to_string()))
+        .collect();
+    got.sort();
+    let mut want = Vec::new();
+    for rel in [
+        "unreferenced_pub/api.rs",
+        "unreferenced_pub/bin/tool.rs",
+        "unreferenced_pub/caller.rs",
+        "unreferenced_pub/lib.rs",
+    ] {
+        let src = std::fs::read_to_string(root.join(rel))
+            .unwrap_or_else(|e| panic!("cannot read fixture {rel}: {e}"));
+        want.extend(
+            expectations(&src)
+                .into_iter()
+                .map(|(line, rule)| (rel.to_string(), line, rule)),
+        );
+    }
+    want.sort();
+    assert_eq!(report.files_scanned, 4);
+    assert_eq!(
+        got,
+        want,
+        "unreferenced_pub: diagnostics do not match the //~ tags.\nreported:\n{}",
+        report
+            .diagnostics
+            .iter()
+            .map(|d| format!("  {d}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
 #[test]
 fn every_fixture_has_a_test_and_vice_versa() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -98,7 +149,6 @@ fn every_fixture_has_a_test_and_vice_versa() {
                 .to_string_lossy()
                 .into_owned()
         })
-        .filter(|n| n.ends_with(".rs"))
         .collect();
     names.sort();
     assert_eq!(
@@ -111,6 +161,7 @@ fn every_fixture_has_a_test_and_vice_versa() {
             "error_hygiene.rs",
             "hot_path_alloc.rs",
             "panic_freedom.rs",
+            "unreferenced_pub",
             "unsafe_safety.rs",
         ],
         "fixture set changed — add or remove the matching #[test]"

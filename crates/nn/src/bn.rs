@@ -1,4 +1,9 @@
 //! Batch normalization, plain and switchable (SBN, paper §2.4).
+//!
+//! §2.4: "the multiplication and addition operations of SBN can be fused
+//! into the scale factors of linear quantizers and the model bias". Eval
+//! mode is that per-channel affine (a test below checks it); the serving
+//! path does not fuse it yet and runs BN as its own pass.
 
 use crate::layer::{Layer, Mode, Param};
 use tia_quant::{Precision, PrecisionSet};
@@ -210,14 +215,6 @@ impl BatchNorm2d {
             cache: None,
         }
     }
-
-    /// The running `(mean, var)` statistics (for BN folding, §2.4).
-    pub fn running_stats(&self) -> (Vec<f32>, Vec<f32>) {
-        (
-            self.core.running_mean.data().to_vec(),
-            self.core.running_var.data().to_vec(),
-        )
-    }
 }
 
 impl Layer for BatchNorm2d {
@@ -269,26 +266,6 @@ impl SwitchableBatchNorm {
             active,
             cache: None,
         }
-    }
-
-    /// The candidate precision set.
-    pub fn precision_set(&self) -> &PrecisionSet {
-        &self.set
-    }
-
-    /// Index of the currently active state.
-    pub fn active_slot(&self) -> usize {
-        self.active
-    }
-
-    /// The running `(mean, var)` statistics of the active slot (for BN
-    /// folding into the active precision's quantizer scales, §2.4).
-    pub fn running_stats(&self) -> (Vec<f32>, Vec<f32>) {
-        let s = &self.states[self.active];
-        (
-            s.running_mean.data().to_vec(),
-            s.running_var.data().to_vec(),
-        )
     }
 
     fn slot_for(&self, p: Precision) -> usize {
@@ -364,6 +341,37 @@ mod tests {
         }
     }
 
+    /// Eval-mode BN is the per-channel affine
+    /// `x·γ/√(var+ε) + (β − γ·mean/√(var+ε))` that §2.4 folds away.
+    #[test]
+    fn eval_forward_is_the_folded_affine() {
+        let mut rng = SeededRng::new(1);
+        let mut bn = BatchNorm2d::new(3);
+        // Burn in non-trivial running stats and random affine params.
+        let x_train = Tensor::randn(&[8, 3, 4, 4], 2.0, &mut rng);
+        for _ in 0..30 {
+            let _ = bn.forward(&x_train, Mode::Train);
+        }
+        bn.visit_params(&mut |p| {
+            let noise = Tensor::randn(p.value.shape(), 0.3, &mut rng);
+            p.value.add_assign(&noise);
+        });
+        let x = Tensor::randn(&[2, 3, 4, 4], 1.0, &mut rng);
+        let y_bn = bn.forward(&x, Mode::Eval);
+        let c = &bn.core;
+        let mut err = 0f32;
+        for (i, (&v, &y)) in x.data().iter().zip(y_bn.data()).enumerate() {
+            let ch = (i / 16) % 3;
+            let scale = c.gamma.value.data()[ch] / (c.running_var.data()[ch] + BN_EPS).sqrt();
+            let bias = c.beta.value.data()[ch] - scale * c.running_mean.data()[ch];
+            err = err.max((scale * v + bias - y).abs());
+        }
+        assert!(
+            err < 1e-4,
+            "folded BN must match eval BN exactly, err {err}"
+        );
+    }
+
     #[test]
     fn eval_uses_running_stats() {
         let mut rng = SeededRng::new(2);
@@ -434,11 +442,11 @@ mod tests {
         let set = PrecisionSet::new(&[4, 8, 16]);
         let mut sbn = SwitchableBatchNorm::new(1, set);
         sbn.set_precision(Some(Precision::new(5)));
-        assert_eq!(sbn.active_slot(), 0); // 5 is nearest 4
+        assert_eq!(sbn.active, 0); // 5 is nearest 4
         sbn.set_precision(Some(Precision::new(7)));
-        assert_eq!(sbn.active_slot(), 1); // 7 is nearest 8
+        assert_eq!(sbn.active, 1); // 7 is nearest 8
         sbn.set_precision(None);
-        assert_eq!(sbn.active_slot(), 2); // full precision -> highest
+        assert_eq!(sbn.active, 2); // full precision -> highest
     }
 
     #[test]

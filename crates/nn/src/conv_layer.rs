@@ -91,11 +91,6 @@ impl Conv2d {
         }
     }
 
-    /// The convolution geometry.
-    pub fn geometry(&self) -> &Conv2dGeometry {
-        &self.geo
-    }
-
     /// Number of precisions with a live prepacked weight (tests/diagnostics).
     pub fn packed_precisions(&self) -> usize {
         self.packs.len()

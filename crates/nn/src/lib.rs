@@ -32,7 +32,6 @@ mod act;
 mod bn;
 mod conv_layer;
 mod flatten;
-mod fold;
 mod layer;
 mod linear;
 mod loss;
@@ -48,12 +47,11 @@ pub use act::ReLU;
 pub use bn::{BatchNorm2d, SwitchableBatchNorm};
 pub use conv_layer::Conv2d;
 pub use flatten::Flatten;
-pub use fold::FoldedBn;
 pub use layer::{Layer, Mode, Param};
 pub use linear::Linear;
 pub use loss::{cross_entropy, cw_margin_loss, LossGrad};
 pub use network::Network;
-pub use pool_layer::{AvgPool2d, GlobalAvgPool, MaxPool2d};
+pub use pool_layer::GlobalAvgPool;
 pub use residual::PreActBlock;
 pub use sgd::Sgd;
 pub use workload::{LayerKind, LayerSpec, NetworkSpec};

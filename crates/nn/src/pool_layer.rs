@@ -1,87 +1,7 @@
-//! Pooling layers wrapping the tensor-crate kernels.
+//! Global average pooling, the zoo's classifier head.
 
 use crate::layer::{Layer, Mode, Param};
-use tia_tensor::{
-    avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, Tensor, Workspace,
-};
-
-/// Average pooling with a square window.
-#[derive(Debug, Clone)]
-pub struct AvgPool2d {
-    k: usize,
-    input_hw: Option<(usize, usize)>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer with window/stride `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "pool window must be positive");
-        Self { k, input_hw: None }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
-        self.input_hw = mode.caches_backward().then(|| (x.shape()[2], x.shape()[3]));
-        avg_pool2d(x, self.k)
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
-        let (h, w) = self.input_hw.expect("AvgPool2d::backward before forward");
-        avg_pool2d_backward(grad_out, self.k, h, w)
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-}
-
-/// Max pooling with a square window.
-#[derive(Debug, Clone)]
-pub struct MaxPool2d {
-    k: usize,
-    cache: Option<(Vec<usize>, Vec<usize>)>, // (argmax indices, input shape)
-}
-
-impl MaxPool2d {
-    /// Creates a max-pool layer with window/stride `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "pool window must be positive");
-        Self { k, cache: None }
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn forward_ws(&mut self, x: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
-        let (y, idx) = max_pool2d(x, self.k);
-        self.cache = mode.caches_backward().then(|| (idx, x.shape().to_vec()));
-        y
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
-        let (idx, shape) = self
-            .cache
-            .as_ref()
-            .expect("MaxPool2d::backward before forward");
-        max_pool2d_backward(grad_out, idx, shape)
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-}
+use tia_tensor::{Tensor, Workspace};
 
 /// Global average pooling: `[N, C, H, W] -> [N, C]`.
 #[derive(Debug, Default, Clone)]
@@ -164,26 +84,5 @@ mod tests {
         assert_eq!(y.data(), &[1.5, 5.5]);
         let gx = gap.backward(&Tensor::ones(&[1, 2]));
         assert!((gx.sum() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn avg_pool_layer_roundtrip() {
-        let mut p = AvgPool2d::new(2);
-        let x = Tensor::ones(&[1, 1, 4, 4]);
-        let y = p.forward(&x, Mode::Eval);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        let gx = p.backward(&Tensor::ones(y.shape()));
-        assert_eq!(gx.shape(), x.shape());
-        assert!((gx.sum() - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn max_pool_layer_routes_gradients() {
-        let mut p = MaxPool2d::new(2);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let y = p.forward(&x, Mode::Eval);
-        assert_eq!(y.data(), &[4.0]);
-        let gx = p.backward(&Tensor::ones(y.shape()));
-        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 1.0]);
     }
 }

@@ -52,11 +52,6 @@ impl PreActBlock {
             shortcut,
         }
     }
-
-    /// Whether the block has a projection shortcut.
-    pub fn has_projection(&self) -> bool {
-        self.shortcut.is_some()
-    }
 }
 
 impl Layer for PreActBlock {
@@ -155,7 +150,7 @@ mod tests {
     fn identity_block_shapes() {
         let mut rng = SeededRng::new(1);
         let mut b = PreActBlock::new(4, 4, 1, &plain_bn, &mut rng);
-        assert!(!b.has_projection());
+        assert!(b.shortcut.is_none());
         let x = Tensor::randn(&[2, 4, 6, 6], 1.0, &mut rng);
         let y = b.forward(&x, Mode::Train);
         assert_eq!(y.shape(), x.shape());
@@ -167,7 +162,7 @@ mod tests {
     fn downsample_block_shapes() {
         let mut rng = SeededRng::new(2);
         let mut b = PreActBlock::new(4, 8, 2, &plain_bn, &mut rng);
-        assert!(b.has_projection());
+        assert!(b.shortcut.is_some());
         let x = Tensor::randn(&[1, 4, 8, 8], 1.0, &mut rng);
         let y = b.forward(&x, Mode::Train);
         assert_eq!(y.shape(), &[1, 8, 4, 4]);

@@ -75,32 +75,6 @@ impl LayerSpec {
         }
     }
 
-    /// Creates a depthwise conv layer spec: `channels` independent
-    /// single-channel `kernel x kernel` filters (K = channels, C = 1).
-    pub fn dwconv(
-        name: impl Into<String>,
-        channels: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        in_h: usize,
-        in_w: usize,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            kind: LayerKind::Conv {
-                c: 1,
-                k: channels,
-                r: kernel,
-                s: kernel,
-                stride,
-                pad,
-            },
-            in_h,
-            in_w,
-        }
-    }
-
     /// Creates an FC layer spec.
     pub fn fc(name: impl Into<String>, in_f: usize, out_f: usize) -> Self {
         Self {
@@ -148,17 +122,6 @@ impl LayerSpec {
         match self.kind {
             LayerKind::Conv { c, .. } => (c * self.in_h * self.in_w) as u64,
             LayerKind::Fc { in_f, .. } => in_f as u64,
-        }
-    }
-
-    /// Output activation element count (batch 1).
-    pub fn output_elems(&self) -> u64 {
-        match self.kind {
-            LayerKind::Conv { k, .. } => {
-                let (oh, ow) = self.out_hw();
-                (k * oh * ow) as u64
-            }
-            LayerKind::Fc { out_f, .. } => out_f as u64,
         }
     }
 
@@ -332,58 +295,6 @@ impl NetworkSpec {
         Self {
             name: "ResNet-18".into(),
             dataset: "CIFAR-10".into(),
-            layers,
-        }
-    }
-
-    /// MobileNetV1 on ImageNet — an extension workload beyond the paper's
-    /// six, exercising depthwise convolutions (modelled as K parallel
-    /// single-channel convs, i.e. `C = 1` per output channel group, which
-    /// the 7-dim loop nest supports natively).
-    pub fn mobilenet_v1() -> Self {
-        let mut layers = vec![LayerSpec::conv("conv1", 3, 32, 3, 2, 1, 224, 224)];
-        // (channels_in, channels_out, stride, spatial at block input)
-        let blocks: &[(usize, usize, usize, usize)] = &[
-            (32, 64, 1, 112),
-            (64, 128, 2, 112),
-            (128, 128, 1, 56),
-            (128, 256, 2, 56),
-            (256, 256, 1, 28),
-            (256, 512, 2, 28),
-            (512, 512, 1, 14),
-            (512, 512, 1, 14),
-            (512, 512, 1, 14),
-            (512, 512, 1, 14),
-            (512, 512, 1, 14),
-            (512, 1024, 2, 14),
-            (1024, 1024, 1, 7),
-        ];
-        for (i, &(cin, cout, stride, hw)) in blocks.iter().enumerate() {
-            layers.push(LayerSpec::dwconv(
-                format!("dw{}", i + 2),
-                cin,
-                3,
-                stride,
-                1,
-                hw,
-                hw,
-            ));
-            let out_hw = hw / stride;
-            layers.push(LayerSpec::conv(
-                format!("pw{}", i + 2),
-                cin,
-                cout,
-                1,
-                1,
-                0,
-                out_hw,
-                out_hw,
-            ));
-        }
-        layers.push(LayerSpec::fc("fc", 1024, 1000));
-        Self {
-            name: "MobileNetV1".into(),
-            dataset: "ImageNet".into(),
             layers,
         }
     }
@@ -570,22 +481,6 @@ mod tests {
         assert_eq!(l.macs(), 4096 * 1000);
         assert_eq!(l.loop_bounds(), [1, 1000, 4096, 1, 1, 1, 1]);
         assert_eq!(l.out_hw(), (1, 1));
-    }
-
-    #[test]
-    fn mobilenet_macs_in_known_ballpark() {
-        // MobileNetV1 is ~0.57 GMACs.
-        let net = NetworkSpec::mobilenet_v1();
-        let macs = net.total_macs();
-        assert!(macs > 450_000_000 && macs < 700_000_000, "{}", macs);
-    }
-
-    #[test]
-    fn dwconv_geometry() {
-        let l = LayerSpec::dwconv("dw", 32, 3, 1, 1, 16, 16);
-        assert_eq!(l.out_hw(), (16, 16));
-        assert_eq!(l.weight_elems(), 32 * 9);
-        assert_eq!(l.macs(), 32 * 9 * 256);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! experiments live in [`crate::workload`] instead.
 //!
 //! ResNet-50's bottleneck blocks are substituted with pre-activation basic
-//! blocks at matched depth-per-stage (see DESIGN.md): the RPS algorithm is
-//! agnostic to the block flavour, and the accelerator side uses the true
-//! bottleneck shape table.
+//! blocks at matched depth-per-stage (see docs/ARCHITECTURE.md
+//! "Substitutions"): the RPS algorithm is agnostic to the block flavour,
+//! and the accelerator side uses the true bottleneck shape table.
 
 use crate::bn::{BatchNorm2d, SwitchableBatchNorm};
 use crate::conv_layer::Conv2d;
@@ -74,24 +74,6 @@ impl PreActResNetConfig {
         }
     }
 
-    /// WideResNet-32 topology (3 stages × 5 blocks, widened) at a given base
-    /// width; the canonical WRN-32-10 corresponds to `base_width = 160`.
-    pub fn wide_resnet32(
-        in_channels: usize,
-        base_width: usize,
-        classes: usize,
-        bn: BnKind,
-    ) -> Self {
-        Self {
-            in_channels,
-            classes,
-            base_width,
-            stage_blocks: vec![5, 5, 5],
-            stage_strides: vec![1, 2, 2],
-            bn,
-        }
-    }
-
     /// A reduced-depth WideResNet-32 (3 stages × 2 blocks) for fast tests.
     pub fn wide_resnet32_lite(
         in_channels: usize,
@@ -110,7 +92,7 @@ impl PreActResNetConfig {
     }
 
     /// ResNet-50-lite: 4 stages with `[3,4,6,3]` basic blocks (bottleneck
-    /// substitution documented in DESIGN.md).
+    /// substitution: docs/ARCHITECTURE.md "Substitutions").
     pub fn resnet50(in_channels: usize, base_width: usize, classes: usize, bn: BnKind) -> Self {
         Self {
             in_channels,
@@ -230,20 +212,6 @@ pub fn resnet50_lite(
 ) -> Network {
     preact_resnet(
         &PreActResNetConfig::resnet50(in_channels, base_width, classes, BnKind::Plain),
-        rng,
-    )
-}
-
-/// ResNet-50-lite with switchable BN over `set`.
-pub fn resnet50_rps(
-    in_channels: usize,
-    base_width: usize,
-    classes: usize,
-    set: PrecisionSet,
-    rng: &mut SeededRng,
-) -> Network {
-    preact_resnet(
-        &PreActResNetConfig::resnet50(in_channels, base_width, classes, BnKind::Switchable(set)),
         rng,
     )
 }

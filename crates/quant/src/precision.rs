@@ -38,14 +38,6 @@ impl Precision {
     pub fn levels(self) -> u32 {
         1u32 << self.0
     }
-
-    /// Full precision sentinel used in tables ("no quantization").
-    /// Represented as 16-bit quantization being close enough to fp32 for the
-    /// small models in this reproduction; use `Option<Precision>` when true
-    /// full precision must be distinguished.
-    pub fn highest() -> Self {
-        Self(Self::MAX_BITS)
-    }
 }
 
 impl std::fmt::Display for Precision {
@@ -97,11 +89,6 @@ impl PrecisionSet {
     pub fn range(lo: u8, hi: u8) -> Self {
         assert!(lo <= hi, "range lo > hi");
         Self::new(&(lo..=hi).collect::<Vec<_>>())
-    }
-
-    /// The paper's default RPS candidate set: 4–16 bit.
-    pub fn paper_default() -> Self {
-        Self::range(4, 16)
     }
 
     /// Number of candidate precisions.
@@ -224,15 +211,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.min().bits(), 4);
         assert_eq!(s.max().bits(), 8);
-    }
-
-    #[test]
-    fn paper_default_is_4_to_16() {
-        let s = PrecisionSet::paper_default();
-        assert_eq!(s.len(), 13);
-        assert!(s.contains(Precision::new(4)));
-        assert!(s.contains(Precision::new(16)));
-        assert!(!s.contains(Precision::new(3)));
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl Clock {
             }
         }
     }
-
-    /// Whether this is a manual (test) clock.
-    pub fn is_manual(&self) -> bool {
-        self.manual.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +109,7 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
-        assert!(!c.is_manual());
+        assert!(c.manual.is_none());
         assert!(!c.advance(Duration::from_secs(1)));
     }
 
@@ -125,7 +120,7 @@ mod tests {
         assert_eq!(c.now(), a);
         assert!(c.advance(Duration::from_millis(7)));
         assert_eq!(c.now() - a, Duration::from_millis(7));
-        assert!(c.is_manual());
+        assert!(c.manual.is_some());
     }
 
     #[test]

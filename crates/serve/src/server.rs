@@ -143,11 +143,6 @@ impl FaultPlan {
         self.double_ack = true;
         self
     }
-
-    /// Whether any fault (or sabotage) is armed.
-    pub fn is_armed(&self) -> bool {
-        self.queue_full_every.is_some() || self.slow_batch_every.is_some() || self.double_ack
-    }
 }
 
 /// Serving front-end configuration.

@@ -64,14 +64,6 @@ impl Accelerator {
         }
     }
 
-    /// Overrides the architecture (micro-architecture search results, test
-    /// rigs). Clears the cache.
-    pub fn with_arch(mut self, arch: ArchConfig) -> Self {
-        self.arch = arch;
-        self.cache.clear();
-        self
-    }
-
     /// Uses a lighter/heavier dataflow search. Clears the cache.
     pub fn with_search(mut self, search: EvoSearch) -> Self {
         self.search = search;

@@ -18,7 +18,7 @@ const MAC16_AREA: f64 = 1.8;
 /// *structural* costs charitably (it gets our memory system for free), so
 /// the measured advantage of the 2-in-1 Accelerator is a lower bound on the
 /// paper's published ratios — the orderings across networks and precision
-/// sets are what reproduce (EXPERIMENTS.md).
+/// sets are what reproduce (docs/ARCHITECTURE.md "Substitutions").
 pub fn dnnguard_throughput(net: &NetworkSpec, area_budget: f64, freq_ghz: f64) -> f64 {
     let model = DnnGuardModel::default();
     let units = (area_budget / MAC16_AREA).floor().max(1.0);

@@ -59,11 +59,6 @@ impl NetworkPerf {
         self.mem_energy.iter().sum::<f64>() + self.mac_energy
     }
 
-    /// Energy efficiency: inferences per unit energy.
-    pub fn energy_efficiency(&self) -> f64 {
-        1.0 / self.total_energy().max(f64::MIN_POSITIVE)
-    }
-
     /// Fraction of cycles lost to memory stalls.
     pub fn stall_fraction(&self) -> f64 {
         (self.total_cycles - self.compute_cycles).max(0.0) / self.total_cycles.max(1.0)

@@ -202,21 +202,6 @@ impl PackedMatrix {
         )
     }
 
-    /// Packs the right operand `B` (`k x n`, row-major).
-    pub fn pack_rhs(k: usize, n: usize, b: &[f32]) -> Self {
-        debug_assert_eq!(b.len(), k * n);
-        Self::pack_side(
-            Side::Rhs,
-            k,
-            n,
-            View {
-                data: b,
-                ld: n,
-                layout: Layout::RowMajor,
-            },
-        )
-    }
-
     /// Packs the right operand `B = Wᵀ` where `w` is stored `n x k`
     /// row-major — the linear-layer weight layout (`[out, in]`), consumed as
     /// the logical `k x n` right operand of `Y = X · Wᵀ` without
@@ -760,24 +745,6 @@ mod tests {
             let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             assert_eq!(gb, wb, "prepacked rhs diverged at {}x{}x{}", m, k, n);
         }
-    }
-
-    #[test]
-    fn prepacked_plain_rhs_matches_gemm() {
-        let mut rng = SeededRng::new(13);
-        let mut ws = Workspace::new();
-        let (m, k, n) = (9, KC + 2, NR * 3 + 1);
-        let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
-        let mut want = vec![0.0; m * n];
-        gemm(m, k, n, &a, &b, &mut want);
-        let packed = PackedMatrix::pack_rhs(k, n, &b);
-        let mut got = vec![0.0; m * n];
-        packed.gemm_rhs(m, &a, &mut got, &mut ws);
-        assert_eq!(
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

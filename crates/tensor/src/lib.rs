@@ -20,12 +20,13 @@
 //! # Example
 //!
 //! ```
-//! use tia_tensor::Tensor;
+//! use tia_tensor::{gemm, Tensor};
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-//! let b = Tensor::eye(2);
-//! let c = a.matmul(&b);
-//! assert_eq!(c.data(), a.data());
+//! let identity = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
+//! let mut c = vec![0.0; 4];
+//! gemm(2, 2, 2, a.data(), identity.data(), &mut c);
+//! assert_eq!(c, a.data());
 //! ```
 
 #![deny(missing_docs)]
@@ -34,7 +35,6 @@ mod buf;
 mod conv;
 mod gemm;
 mod ops;
-mod pool;
 mod rng;
 pub mod simd;
 mod tensor;
@@ -47,29 +47,7 @@ pub use conv::{
 };
 pub use gemm::{gemm, gemm_ws, matmul_a_bt_ws, matmul_at_b_ws, PackedMatrix};
 pub use ops::{argmax, argmax_rows, count_top1_correct, log_softmax_rows, softmax_rows};
-pub use pool::{avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward};
 pub use rng::SeededRng;
 pub use simd::KernelMode;
 pub use tensor::Tensor;
 pub use workspace::Workspace;
-
-/// Error type for shape mismatches and invalid tensor operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShapeError {
-    msg: String,
-}
-
-impl ShapeError {
-    /// Creates a shape error with the given message.
-    pub fn new(msg: impl Into<String>) -> Self {
-        Self { msg: msg.into() }
-    }
-}
-
-impl std::fmt::Display for ShapeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shape error: {}", self.msg)
-    }
-}
-
-impl std::error::Error for ShapeError {}

@@ -120,15 +120,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a square identity matrix of side `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Creates a tensor from a flat vector and a shape.
     ///
     /// # Panics
@@ -252,23 +243,6 @@ impl Tensor {
             shape: ShapeVec::from_slice(shape),
             data: self.data.clone(),
         }
-    }
-
-    /// In-place reshape (no data movement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        let n: usize = shape.iter().product();
-        assert_eq!(
-            self.data.len(),
-            n,
-            "reshape {} -> {:?} invalid",
-            self.data.len(),
-            shape
-        );
-        self.shape = ShapeVec::from_slice(shape);
     }
 
     /// Element at a 2-D index (row-major).
@@ -412,22 +386,6 @@ impl Tensor {
         self.map_in_place(|v| v.clamp(lo, hi));
     }
 
-    /// Matrix multiplication for 2-D tensors: `self [m,k] x other [k,n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not 2-D or the inner dimensions disagree.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul lhs must be 2-D");
-        assert_eq!(other.shape.len(), 2, "matmul rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul inner dims {} vs {}", k, k2);
-        let mut out = Tensor::zeros(&[m, n]);
-        crate::gemm::gemm(m, k, n, &self.data, &other.data, &mut out.data);
-        out
-    }
-
     /// Extracts the `n`-th slice along the first axis as a tensor of one
     /// fewer dimension.
     ///
@@ -496,16 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn eye_diagonal() {
-        let t = Tensor::eye(3);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(t.at2(i, j), if i == j { 1.0 } else { 0.0 });
-            }
-        }
-    }
-
-    #[test]
     fn elementwise_ops() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
         let b = Tensor::from_vec(vec![3.0, 5.0], &[2]);
@@ -526,9 +474,13 @@ mod tests {
     fn matmul_identity() {
         let mut rng = SeededRng::new(7);
         let a = Tensor::randn(&[4, 4], 1.0, &mut rng);
-        let i = Tensor::eye(4);
-        let c = a.matmul(&i);
-        for (x, y) in c.data().iter().zip(a.data()) {
+        let mut i = vec![0.0; 16];
+        for d in 0..4 {
+            i[d * 5] = 1.0;
+        }
+        let mut c = vec![0.0; 16];
+        crate::gemm::gemm(4, 4, 4, a.data(), &i, &mut c);
+        for (x, y) in c.iter().zip(a.data()) {
             assert!((x - y).abs() < 1e-6);
         }
     }
@@ -537,8 +489,9 @@ mod tests {
     fn matmul_small_known() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
+        let mut c = vec![0.0; 4];
+        crate::gemm::gemm(2, 2, 2, a.data(), b.data(), &mut c);
+        assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl Workspace {
         self.pool.len()
     }
 
-    /// Number of byte buffers currently parked in the pool.
-    pub fn pooled_bytes(&self) -> usize {
-        self.byte_pool.len()
-    }
-
     /// Takes a buffer of exactly `n` zeros.
     pub fn take_zeroed(&mut self, n: usize) -> AlignedBuf {
         let mut b = take(&mut self.pool, n);
@@ -283,7 +278,7 @@ mod tests {
         ws.recycle(f);
         ws.recycle_bytes(y);
         ws.recycle_ints(z);
-        assert_eq!((ws.pooled(), ws.pooled_bytes()), (1, 1));
+        assert_eq!((ws.pooled(), ws.byte_pool.len()), (1, 1));
         let (f, y, z) = (
             ws.take_spare(64),
             ws.take_bytes_spare(64),
@@ -291,7 +286,7 @@ mod tests {
         );
         assert_eq!((f.as_ptr(), y.as_ptr(), z.as_ptr()), ptrs);
         assert_eq!((f.len(), y.len(), z.len()), (64, 64, 64));
-        assert_eq!((ws.pooled(), ws.pooled_bytes()), (0, 0));
+        assert_eq!((ws.pooled(), ws.byte_pool.len()), (0, 0));
     }
 
     #[test]
@@ -330,7 +325,7 @@ mod tests {
             ws.recycle_bytes(AlignedBytes::zeroed(8));
         }
         assert_eq!(ws.pooled(), Workspace::MAX_POOLED);
-        assert_eq!(ws.pooled_bytes(), Workspace::MAX_POOLED);
+        assert_eq!(ws.byte_pool.len(), Workspace::MAX_POOLED);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`tensor`] | dense tensors, GEMM, im2col, pooling, seeded RNG |
+//! | [`tensor`] | dense tensors, GEMM, im2col, seeded RNG |
 //! | [`data`] | synthetic dataset profiles (CIFAR-10/100-, SVHN-, ImageNet-like) |
 //! | [`nn`] | layers, switchable BN, model zoo, workload shape tables |
 //! | [`quant`] | linear quantizers and precision sets |
