@@ -7,7 +7,8 @@
 //! stored as signed integers with per-row scales, prepacked into the
 //! [`INT_NR`]-wide panels of [`tia_tensor::simd`]'s integer tile;
 //! activations are unsigned levels with a per-sample affine grid; and the
-//! matmul is a blocked GEMM that accumulates exactly in `i32`.
+//! matmul is a tiled GEMM that accumulates exactly in `i32` and dequantizes
+//! each tile in registers.
 //!
 //! Every precision from 2 to 8 bits shares that one byte-wide panel format
 //! and one compute kernel: a ≤ 4-bit row keeps its 4-bit grid and scale, but
@@ -30,13 +31,15 @@
 //!
 //! so one integer sum plus a precomputed weight-row sum replaces the f32
 //! inner loop. Integer accumulation is exact, making the result independent
-//! of summation order — tiling, `K`-blocking and the dispatched backend
-//! cannot change a bit, and batched results are trivially equal to
+//! of summation order — tiling and the dispatched backend cannot change a
+//! bit, and batched results are trivially equal to
 //! per-sample results (an output element's value does not depend on which
 //! tile computed it).
 
 use crate::Precision;
-use tia_tensor::simd::{int_panel_index, int_panel_len, SimdOps, INT_KC, INT_MR, INT_NR};
+use tia_tensor::simd::{
+    int_panel_index, int_panel_len, IntCols, IntRow, SimdOps, INT_MAX_DEPTH, INT_MR, INT_NR,
+};
 use tia_tensor::AlignedBytes;
 
 /// Affine grid of one quantized activation slice, with the zero point as
@@ -226,10 +229,6 @@ pub struct QuantizedWeights {
 }
 
 impl QuantizedWeights {
-    /// Deepest reduction the `i32` accumulators take: `2^16 · 255 · 127`
-    /// stays below `2^31`, the bound [`SimdOps::micro_kernel_i32`] documents.
-    pub const MAX_DEPTH: usize = 1 << 16;
-
     /// Quantizes a row-major `rows x k` f32 matrix to symmetric `bits`-bit
     /// integers with per-row scales: `t = round(w / s)` with
     /// `s = max|row| / (2^{b-1} − 1)`.
@@ -237,14 +236,14 @@ impl QuantizedWeights {
     /// # Panics
     ///
     /// Panics unless `2 ≤ bits ≤ 8`, `w.len() == rows * k` and
-    /// `k ≤ MAX_DEPTH`.
+    /// `k ≤` [`INT_MAX_DEPTH`].
     pub fn quantize_rows(w: &[f32], rows: usize, k: usize, bits: u8) -> Self {
         assert!((2..=8).contains(&bits), "integer path covers 2..=8 bits");
         assert_eq!(w.len(), rows * k, "quantize_rows shape mismatch");
         // Every integer operand is built here, so this is where the tile's
         // "no i32 overflow" precondition is enforced.
         assert!(
-            k <= Self::MAX_DEPTH,
+            k <= INT_MAX_DEPTH,
             "reduction depth {k} could overflow the i32 dot accumulator"
         );
         let qmax = ((1i32 << (bits - 1)) - 1) as f32;
@@ -383,25 +382,25 @@ pub fn gemm_quant(
 /// `a_scales`/`a_zps` hold one affine grid per *group* of consecutive
 /// activation rows (`m` must be a multiple of their length): linear layers
 /// pass one grid per sample row, conv layers one grid per image covering all
-/// its `oh·ow` patch rows — and [`OutStrides::planes`], so the epilogue
-/// writes NCHW directly. The dequantization expression lives here and only
-/// here, so every layer and every backend agrees on it bit for bit.
+/// its `oh·ow` patch rows — and [`OutStrides::planes`], so the tile
+/// writes NCHW directly. The dequantization expression is the scalar
+/// backend's, which every backend replays bit for bit (see
+/// [`SimdOps::int_tile`]), so every layer and every backend agrees on it.
 ///
-/// Blocking: for each block of [`INT_MR`] activation rows, one
-/// [`INT_KC`]-deep slice of their levels is copied into a stack block, and
-/// each weight panel meets it in one
-/// [`SimdOps::micro_kernel_i32`] call that leaves an `INT_MR × INT_NR` tile
-/// of exact `i32` sums; the epilogue then dequantizes and stores the tile's
-/// valid part. Edge tiles (`m % INT_MR`, `rows % INT_NR`) run the same
-/// kernel over stale rows and zero-padded columns and the same epilogue
-/// over fewer elements.
+/// Tiling: the driver walks the activation rows in blocks of [`INT_MR`],
+/// tracking each row's group and output offset as it goes, and makes one
+/// [`SimdOps::int_tile`] call per (row block, weight panel). The tile reads
+/// its rows in place from `a_levels` over the whole depth, keeps the
+/// `INT_MR × INT_NR` sums in registers, then dequantizes and stores them.
+/// Edge tiles (`m % INT_MR`, `rows % INT_NR`) are the same call over fewer
+/// rows or columns.
 ///
 /// # Panics
 ///
 /// Panics unless `k == w.k()`, `a_levels.len() == m · k`, `a_scales` and
 /// `a_zps` have one entry per group with `m` a multiple of the group count,
-/// `bias` (if any) has one entry per weight row, and every index `strides`
-/// can produce is inside `out`.
+/// every zero point is a level (`0..=255`), `bias` (if any) has one entry
+/// per weight row, and every index `strides` can produce is inside `out`.
 // tia-lint: hot-path(begin)
 #[allow(clippy::too_many_arguments)] // a GEMM signature is its operand list
 pub fn gemm_quant_strided(
@@ -421,6 +420,11 @@ pub fn gemm_quant_strided(
     assert_eq!(k, w.k, "gemm_quant: depth mismatch");
     assert_eq!(a_levels.len(), m * k, "gemm_quant: a_levels is not [m, k]");
     assert_eq!(groups, a_zps.len(), "gemm_quant: one zero point per scale");
+    // The tile's exact `i32` correction `z·Σt` holds for a level only.
+    assert!(
+        a_zps.iter().all(|z| (0..=255).contains(z)),
+        "gemm_quant: a zero point is not a level"
+    );
     assert!(
         m == 0 || (groups > 0 && m.is_multiple_of(groups)),
         "gemm_quant: {m} rows do not group evenly under {groups} grids"
@@ -439,51 +443,34 @@ pub fn gemm_quant_strided(
         "gemm_quant: out is too short for its strides"
     );
     let panel_len = int_panel_len(k);
-    // Rows past a short last block keep the previous block's levels: their
-    // sums are computed and never stored. Levels past `kc` in a row are
-    // stale too and meet only the panel's zero padding.
-    let mut block = [[0u8; INT_KC]; INT_MR];
+    // The first tile row's group, its row in the group, and the group's
+    // first output: advanced row by row, never divided out.
+    let (mut g, mut r, mut group_base) = (0, 0, 0);
     for i0 in (0..m).step_by(INT_MR) {
         let mr = INT_MR.min(m - i0);
-        // Each row's grid and the offset of its first output.
-        let mut row_params = [(0.0f32, 0i64, 0usize); INT_MR];
-        for (i, params) in row_params.iter_mut().enumerate().take(mr) {
-            let (g, r) = ((i0 + i) / rows_per_group, (i0 + i) % rows_per_group);
-            *params = (
-                a_scales[g],
-                a_zps[g] as i64,
-                g * strides.group + r * strides.row,
-            );
+        let mut rows = [IntRow::default(); INT_MR];
+        for row in &mut rows[..mr] {
+            *row = IntRow {
+                scale: a_scales[g],
+                zero_point: a_zps[g],
+                out: group_base + r * strides.row,
+            };
+            r += 1;
+            if r == rows_per_group {
+                (g, r, group_base) = (g + 1, 0, group_base + strides.group);
+            }
         }
+        let a = &a_levels[i0 * k..(i0 + mr) * k];
         for (panel, j0) in w.data.chunks_exact(panel_len).zip((0..n).step_by(INT_NR)) {
-            let mut acc = [[0i32; INT_NR]; INT_MR];
-            for k0 in (0..k).step_by(INT_KC) {
-                let kc = INT_KC.min(k - k0);
-                // A depth of one block is copied once per row block; a
-                // deeper one again for every panel.
-                if j0 == 0 || k > INT_KC {
-                    for (i, row) in block.iter_mut().enumerate().take(mr) {
-                        row[..kc].copy_from_slice(&a_levels[(i0 + i) * k + k0..][..kc]);
-                    }
-                }
-                ops.micro_kernel_i32(kc, &block, &panel[k0 * INT_NR..], &mut acc);
-            }
-            // Columns outermost: under plane strides a column's `mr` sums
-            // are neighbours in memory, so each output line is visited once
-            // per tile instead of once per row.
-            for (j, jt) in (j0..n).zip(0..INT_NR) {
-                let (s_w, t_sum) = (w.scales[j], w.row_sums[j] as i64);
-                for i in 0..mr {
-                    let (s_a, z, base) = row_params[i];
-                    // The dequantization expression — defined once, used
-                    // everywhere.
-                    let v = (s_a * s_w) * ((acc[i][jt] as i64 - z * t_sum) as f32);
-                    out[base + j * strides.col] = match bias {
-                        Some(b) => v + b[j],
-                        None => v,
-                    };
-                }
-            }
+            let j1 = n.min(j0 + INT_NR);
+            let cols = IntCols {
+                scales: &w.scales[j0..j1],
+                row_sums: &w.row_sums[j0..j1],
+                bias: bias.map(|b| &b[j0..j1]),
+                stride: strides.col,
+            };
+            let out = &mut out[j0 * strides.col..];
+            ops.int_tile(k, a, panel, &rows[..mr], cols, out);
         }
     }
 }
@@ -626,16 +613,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "could overflow the i32 dot accumulator")]
     fn quantize_rows_refuses_depths_the_i32_dot_cannot_hold() {
-        let k = QuantizedWeights::MAX_DEPTH + 1;
+        let k = INT_MAX_DEPTH + 1;
         QuantizedWeights::quantize_rows(&vec![0.0; k], 1, k, 8);
     }
 
     #[test]
     fn deepest_allowed_sum_stays_inside_i32() {
-        // Worst case at MAX_DEPTH: every level 255 against every weight at
-        // the i8 extreme the symmetric grid can produce (±127), through
-        // every K block of the driver.
-        let k = QuantizedWeights::MAX_DEPTH;
+        // Worst case at INT_MAX_DEPTH: every level 255 against every weight at
+        // the i8 extreme the symmetric grid can produce (±127), in one tile
+        // call.
+        let k = INT_MAX_DEPTH;
         let q = QuantizedWeights::quantize_rows(&vec![-1.0; k], 1, k, 8);
         let a = vec![255u8; k];
         let want = q.scales()[0] * ((-255 * 127 * k as i64) as f32);
@@ -705,6 +692,12 @@ mod tests {
         let q = QuantizedWeights::quantize_rows(&[0.5; 6], 2, 3, 8);
         let ops = simd::backend(KernelMode::Native);
         gemm_quant(ops, 4, 3, &[1u8; 12], &[], &[], &q, None, &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a zero point is not a level")]
+    fn driver_refuses_a_zero_point_that_is_not_a_level() {
+        call_with(3, 12, &[1.0], &[256], None, 8);
     }
 
     #[test]

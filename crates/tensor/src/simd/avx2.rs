@@ -14,18 +14,22 @@
 //!   (fused rounding would diverge from the reference).
 //! * `bn_row` replays the scalar expression's operation order per lane:
 //!   bitwise tier. `pack_row_f32` is a copy: bitwise trivially.
-//! * `micro_kernel_i32` is exact integer arithmetic in both bodies, so any
-//!   summation order gives the same value: bitwise tier.
+//! * `int_tile` sums in exact integer arithmetic in both bodies, so any
+//!   summation order gives the same value, and dequantizes with the scalar
+//!   expression's operations lane by lane: bitwise tier.
 //!   - The VNNI body multiplies each K quad with `vpdpbusd`: four
 //!     `u8 × i8` products per `i32` lane, summed and added to the lane
 //!     without saturation (the `vpdpbusds` form is the saturating one). Each
 //!     product fits 16 bits and four of them 18, so the only rounding left
-//!     is `i32` wrap-around, which the `2^16 · 255 · 127 < 2^31` depth bound
+//!     is `i32` wrap-around, which the `2^16 · 255 · 128 < 2^31` depth bound
 //!     rules out.
 //!   - The plain body sign-extends the weights (`vpmovsxbw`), zero-extends a
 //!     broadcast level quad (`vpshufb`) and accumulates `vpmaddwd` pair
 //!     sums per column, folded to one sum per column by `vphaddd` at the
-//!     end of the tile.
+//!     end of each pass.
+//!   - The epilogue is shared: `vpmulld`/`vpsubd` for the zero-point
+//!     correction, `vcvtdq2ps` (round to nearest even, as `as f32`), then
+//!     `vmulps` and `vaddps` in the scalar order — no FMA.
 //!
 //!   `vpmaddubsw` is avoided in both: it adds its two `u8 × i8` products in
 //!   saturating `i16`, and `2 · 255 · 127` does not fit.
@@ -35,7 +39,7 @@
 
 #![allow(unsafe_code)]
 
-use super::{int_panel_len, SimdOps, INT_KC, INT_MR, INT_NR, MR, NR};
+use super::{check_int_tile, scalar, IntCols, IntRow, SimdOps, INT_MR, INT_NR, MR, NR};
 use std::arch::x86_64::*;
 
 // Both tile bodies split a row's 16 columns into two 8-column halves and
@@ -107,72 +111,136 @@ unsafe fn pack_row(src: &[f32], dst: &mut [f32]) {
     }
 }
 
+/// The tile's row starts: row `i` of `a` for `i < mr`, the last row again
+/// past it. A short tile computes sums for rows it never stores, from
+/// levels it may read.
+fn tile_rows(a: &[u8], k: usize, mr: usize) -> [*const u8; INT_MR] {
+    std::array::from_fn(|i| a[i.min(mr - 1) * k..].as_ptr())
+}
+
+/// Each tile row's last, partial `K` quad (`k % 4 != 0`): its 1–3 valid
+/// levels, zero above. Built from the row's own bytes, so the tile never
+/// reads past a row's end — the last row ends the level matrix.
+fn tail_quads(a: &[u8], k: usize, mr: usize) -> [i32; INT_MR] {
+    let rem = k % 4;
+    std::array::from_fn(|i| {
+        let end = (i.min(mr - 1) + 1) * k;
+        let mut quad = [0u8; 4];
+        quad[..rem].copy_from_slice(&a[end - rem..end]);
+        i32::from_le_bytes(quad)
+    })
+}
+
 // The integer tile, VNNI body: `INT_MR × INT_NR` `i32` accumulators held
-// in eight 256-bit registers across the whole `K` loop. One step consumes
-// one `K` quad: the panel's 64 bytes (16 columns × 4 depths) are two loads,
-// and each activation row contributes one `vpbroadcastd` of its four raw
-// levels plus a `vpdpbusd` per vector — 256 MACs for 8 multiply-adds and no
-// shuffle-port op.
+// in eight 256-bit registers across the whole depth, the activation rows
+// read in place, then the shared vector epilogue.
 //
 // safety: callers guarantee AVX2 and AVX-VNNI are available (enforced by
 // construction: only the instance `detected` returns after the `avxvnni`
-// probe passed runs this body); the caller additionally guarantees
-// `kc <= INT_KC` and `w.len() >= int_panel_len(kc)`, which bound every
-// pointer offset below (a partial last quad reads at most to the quad's
-// end, inside the row because INT_KC is a multiple of 4).
+// probe passed runs this body) and that `check_int_tile` passed for a
+// non-empty tile, so `a` holds `rows.len() ≥ 1` rows of `k` levels and `w`
+// a whole panel of depth `k`. Full quads end at byte `4·(k/4) ≤ k` of a
+// row and at byte `64·(k/4)` of the panel; a partial last quad is read by
+// `tail_quads`, in bounds.
 #[target_feature(enable = "avx2,avxvnni")]
-unsafe fn micro_kernel_i32_vnni(
-    kc: usize,
-    a: &[[u8; INT_KC]; INT_MR],
+unsafe fn int_tile_vnni(
+    k: usize,
+    a: &[u8],
     w: &[u8],
-    acc: &mut [[i32; INT_NR]; INT_MR],
+    rows: &[IntRow],
+    cols: &IntCols<'_>,
+    out: &mut [f32],
 ) {
-    let mut c = [[_mm256_setzero_si256(); 2]; INT_MR];
-    for (ci, row) in c.iter_mut().zip(acc.iter()) {
-        ci[0] = _mm256_loadu_si256(row.as_ptr().cast());
-        ci[1] = _mm256_loadu_si256(row.as_ptr().add(8).cast());
-    }
+    let r = tile_rows(a, k, rows.len());
     let wp = w.as_ptr();
-    // A partial last quad multiplies the panel's zero padding against
-    // whatever the row holds past `kc`.
-    for q in 0..kc.div_ceil(4) {
-        let w0 = _mm256_loadu_si256(wp.add(q * 4 * INT_NR).cast());
-        let w1 = _mm256_loadu_si256(wp.add(q * 4 * INT_NR + 32).cast());
-        for (ci, row) in c.iter_mut().zip(a) {
-            let quad = _mm256_set1_epi32(row.as_ptr().add(4 * q).cast::<i32>().read_unaligned());
-            ci[0] = _mm256_dpbusd_avx_epi32(ci[0], quad, w0);
-            ci[1] = _mm256_dpbusd_avx_epi32(ci[1], quad, w1);
-        }
+    let mut c = [[_mm256_setzero_si256(); 2]; INT_MR];
+    let full = k / 4;
+    for q in 0..full {
+        let quads = r.map(|row| row.add(4 * q).cast::<i32>().read_unaligned());
+        vnni_step(&mut c, wp.add(64 * q), quads);
     }
-    for (ci, row) in c.iter().zip(acc.iter_mut()) {
-        _mm256_storeu_si256(row.as_mut_ptr().cast(), ci[0]);
-        _mm256_storeu_si256(row.as_mut_ptr().add(8).cast(), ci[1]);
+    if !k.is_multiple_of(4) {
+        vnni_step(&mut c, wp.add(64 * full), tail_quads(a, k, rows.len()));
+    }
+    store_tile(&c, rows, cols, out);
+}
+
+// One `K` quad of the VNNI body: the panel's 64 bytes (16 columns × 4
+// depths) are two loads, and each row's broadcast quad of levels meets
+// them in two `vpdpbusd` — 256 MACs for 8 multiply-adds and no shuffle-port
+// op.
+//
+// safety: AVX2 and AVX-VNNI are available, and `w` points at 64 readable
+// panel bytes.
+#[inline]
+#[target_feature(enable = "avx2,avxvnni")]
+unsafe fn vnni_step(c: &mut [[__m256i; 2]; INT_MR], w: *const u8, quads: [i32; INT_MR]) {
+    let w0 = _mm256_loadu_si256(w.cast());
+    let w1 = _mm256_loadu_si256(w.add(32).cast());
+    for (ci, quad) in c.iter_mut().zip(quads) {
+        let quad = _mm256_set1_epi32(quad);
+        ci[0] = _mm256_dpbusd_avx_epi32(ci[0], quad, w0);
+        ci[1] = _mm256_dpbusd_avx_epi32(ci[1], quad, w1);
     }
 }
 
-// The integer tile, plain-AVX2 body, over the same K-quad panel. Each of
-// two passes walks the whole `K` range for all four activation rows and
-// one 8-column half of the panel. Per quad the half's 32 bytes are
-// sign-extended into two vectors of four columns × four `i16` depths, each
-// row's level quad is broadcast and zero-extended, and `vpmaddwd` leaves
-// two pair sums per column (depths 0+1 and 2+3) in eight accumulators.
-// `vphaddd` folds each column's two pair sums at the end of the pass; a
-// permute puts the columns back in order. Sixteen accumulators for both
-// halves at once would leave no register for the weights. The
-// zero-extension is a `vpshufb` rather than `vpmovzxbw`: on cores that
-// issue `vpshufb` on two ports (Golden Cove and later) it stays off the
-// one port that `vpmovzxbw` and the weights' `vpmovsxbw` share.
+// The integer tile, plain-AVX2 body, over the same K-quad panel and the
+// same in-place rows. Each of two passes walks the whole depth for all
+// four rows and one 8-column half of the panel, leaving two pair sums per
+// column (depths 0+1 and 2+3) in eight accumulators; `vphaddd` folds them
+// at the end of the pass and a permute puts the columns back in order.
+// Sixteen accumulators for both halves at once would leave no register for
+// the weights.
 //
-// safety: same AVX2-availability contract as `micro_kernel`; the caller
-// additionally guarantees `kc <= INT_KC` and `w.len() >= int_panel_len(kc)`,
-// which bound every pointer offset below.
+// safety: same AVX2-availability contract as `micro_kernel`, and the same
+// `check_int_tile` bounds as `int_tile_vnni`.
 #[target_feature(enable = "avx2")]
-unsafe fn micro_kernel_i32_plain(
-    kc: usize,
-    a: &[[u8; INT_KC]; INT_MR],
+unsafe fn int_tile_plain(
+    k: usize,
+    a: &[u8],
     w: &[u8],
-    acc: &mut [[i32; INT_NR]; INT_MR],
+    rows: &[IntRow],
+    cols: &IntCols<'_>,
+    out: &mut [f32],
 ) {
+    let r = tile_rows(a, k, rows.len());
+    let tail = (!k.is_multiple_of(4)).then(|| tail_quads(a, k, rows.len()));
+    let full = k / 4;
+    let mut sums = [[_mm256_setzero_si256(); 2]; INT_MR];
+    for half in 0..2 {
+        let wp = w.as_ptr().add(32 * half);
+        // c[i][t]: row i, columns 8·half + 4t .. +4, as (pair sum 0+1,
+        // pair sum 2+3) per column.
+        let mut c = [[_mm256_setzero_si256(); 2]; INT_MR];
+        for q in 0..full {
+            let quads = r.map(|row| row.add(4 * q).cast::<i32>().read_unaligned());
+            plain_step(&mut c, wp.add(64 * q), quads);
+        }
+        if let Some(quads) = tail {
+            plain_step(&mut c, wp.add(64 * full), quads);
+        }
+        for (ci, s) in c.iter().zip(&mut sums) {
+            // hadd gives columns (0, 1, 4, 5 | 2, 3, 6, 7) of the eight;
+            // the permute swaps the middle two 64-bit units.
+            let pairs = _mm256_hadd_epi32(ci[0], ci[1]);
+            s[half] = _mm256_permute4x64_epi64::<0b11_01_10_00>(pairs);
+        }
+    }
+    store_tile(&sums, rows, cols, out);
+}
+
+// One `K` quad of one half of the plain body: the half's 32 bytes are
+// sign-extended into two vectors of four columns × four `i16` depths, each
+// row's level quad is broadcast and zero-extended, and `vpmaddwd` adds its
+// two pair sums per column. The zero-extension is a `vpshufb` rather than
+// `vpmovzxbw`: on cores that issue `vpshufb` on two ports (Golden Cove and
+// later) it stays off the one port that `vpmovzxbw` and the weights'
+// `vpmovsxbw` share.
+//
+// safety: AVX2 is available, and `w` points at 32 readable panel bytes.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn plain_step(c: &mut [[__m256i; 2]; INT_MR], w: *const u8, quads: [i32; INT_MR]) {
     // Spreads levels 0..=3 of a broadcast quad over the four `u16` lanes of
     // every 64-bit unit (a negative index zeroes the high byte).
     #[rustfmt::skip]
@@ -180,33 +248,107 @@ unsafe fn micro_kernel_i32_plain(
         0, -1, 1, -1, 2, -1, 3, -1, 0, -1, 1, -1, 2, -1, 3, -1,
         0, -1, 1, -1, 2, -1, 3, -1, 0, -1, 1, -1, 2, -1, 3, -1,
     );
-    let wp = w.as_ptr();
-    for half in 0..2 {
-        // c[i][t]: row i, columns 8·half + 4t .. +4, as (pair sum 0+1,
-        // pair sum 2+3) per column.
-        let mut c = [[_mm256_setzero_si256(); 2]; INT_MR];
-        for q in 0..kc.div_ceil(4) {
-            let wq = wp.add(q * 4 * INT_NR + 32 * half);
-            let wt = [
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(wq.cast())),
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(wq.add(16).cast())),
-            ];
-            for (ci, row) in c.iter_mut().zip(a) {
-                let levels = row.as_ptr().add(4 * q).cast::<i32>().read_unaligned();
-                let quad = _mm256_shuffle_epi8(_mm256_set1_epi32(levels), zext);
-                for (ct, w) in ci.iter_mut().zip(&wt) {
-                    *ct = _mm256_add_epi32(*ct, _mm256_madd_epi16(quad, *w));
-                }
-            }
+    let wt = [
+        _mm256_cvtepi8_epi16(_mm_loadu_si128(w.cast())),
+        _mm256_cvtepi8_epi16(_mm_loadu_si128(w.add(16).cast())),
+    ];
+    for (ci, quad) in c.iter_mut().zip(quads) {
+        let quad = _mm256_shuffle_epi8(_mm256_set1_epi32(quad), zext);
+        for (ct, w) in ci.iter_mut().zip(&wt) {
+            *ct = _mm256_add_epi32(*ct, _mm256_madd_epi16(quad, *w));
         }
-        for (ci, row) in c.iter().zip(acc.iter_mut()) {
-            // hadd gives columns (0, 1, 4, 5 | 2, 3, 6, 7) of the eight;
-            // the permute swaps the middle two 64-bit units.
-            let sums = _mm256_hadd_epi32(ci[0], ci[1]);
-            let sums = _mm256_permute4x64_epi64::<0b11_01_10_00>(sums);
-            let dst = row.as_mut_ptr().add(8 * half);
-            let total = _mm256_add_epi32(_mm256_loadu_si256(dst.cast()), sums);
-            _mm256_storeu_si256(dst.cast(), total);
+    }
+}
+
+// The epilogue both tile bodies share: `c[i][h]` holds row `i`'s sums for
+// columns `8h..8h + 8`. A full tile is dequantized in registers in the
+// scalar expression's operation order — the exact `i32` correction
+// (`vpmulld`, `vpsubd`), `vcvtdq2ps`, `s_a·s_w`, one multiply, the bias
+// add — when its rows' outputs are neighbours (plane strides inside one
+// group) and its columns at least four apart. It leaves through a 4×4
+// transpose per four columns (`vunpcklps`/`vunpckhps`, `vshufps`), then one
+// 16-byte store per column; each output is written once and no two
+// coincide, so the order they are written in cannot change a bit.
+//
+// Any other tile — fewer rows or columns, plane rows straddling two
+// groups, row-major or other strides — spills its sums and runs the scalar
+// expression.
+//
+// safety: AVX2 is available and `check_int_tile` passed for this tile, so
+// every index `rows[i].out + j·stride` (`i < rows.len()`, `j < nc`) is
+// inside `out` and `cols`' slices hold `nc` entries.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store_tile(
+    c: &[[__m256i; 2]; INT_MR],
+    rows: &[IntRow],
+    cols: &IntCols<'_>,
+    out: &mut [f32],
+) {
+    let full = rows.len() == INT_MR && cols.scales.len() == INT_NR;
+    let planes = cols.stride >= INT_MR
+        && rows
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.out == rows[0].out + i);
+    if !full || !planes {
+        let mut acc = [[0i32; INT_NR]; INT_MR];
+        for (row, ci) in acc.iter_mut().zip(c) {
+            _mm256_storeu_si256(row.as_mut_ptr().cast(), ci[0]);
+            _mm256_storeu_si256(row.as_mut_ptr().add(8).cast(), ci[1]);
+        }
+        return scalar::dequantize(&acc, rows, cols, out);
+    }
+    let (sp, tp) = (cols.scales.as_ptr(), cols.row_sums.as_ptr());
+    let s_w = [_mm256_loadu_ps(sp), _mm256_loadu_ps(sp.add(8))];
+    let t_sum = [
+        _mm256_loadu_si256(tp.cast()),
+        _mm256_loadu_si256(tp.add(8).cast()),
+    ];
+    let bias = cols.bias.map(|b| {
+        [
+            _mm256_loadu_ps(b.as_ptr()),
+            _mm256_loadu_ps(b.as_ptr().add(8)),
+        ]
+    });
+    // v[h][i]: row i's outputs for columns 8h..8h + 8.
+    let mut v = [[_mm256_setzero_ps(); INT_MR]; 2];
+    for i in 0..INT_MR {
+        let (s_a, z) = (
+            _mm256_set1_ps(rows[i].scale),
+            _mm256_set1_epi32(rows[i].zero_point),
+        );
+        for h in 0..2 {
+            let corrected = _mm256_sub_epi32(c[i][h], _mm256_mullo_epi32(z, t_sum[h]));
+            let x = _mm256_mul_ps(_mm256_mul_ps(s_a, s_w[h]), _mm256_cvtepi32_ps(corrected));
+            v[h][i] = match bias {
+                Some(b) => _mm256_add_ps(x, b[h]),
+                None => x,
+            };
+        }
+    }
+    let base = out.as_mut_ptr().add(rows[0].out);
+    for (h, [r0, r1, r2, r3]) in v.into_iter().enumerate() {
+        // Rows 0/1 and 2/3 interleaved: (r0 r1) of columns 0, 1 | 4, 5 and
+        // of columns 2, 3 | 6, 7, per 128-bit lane.
+        let t0 = _mm256_unpacklo_ps(r0, r1);
+        let t1 = _mm256_unpackhi_ps(r0, r1);
+        let t2 = _mm256_unpacklo_ps(r2, r3);
+        let t3 = _mm256_unpackhi_ps(r2, r3);
+        // Column t of the half in the low lane, column t + 4 in the high.
+        let columns = [
+            _mm256_shuffle_ps::<0b01_00_01_00>(t0, t2),
+            _mm256_shuffle_ps::<0b11_10_11_10>(t0, t2),
+            _mm256_shuffle_ps::<0b01_00_01_00>(t1, t3),
+            _mm256_shuffle_ps::<0b11_10_11_10>(t1, t3),
+        ];
+        for (t, col) in columns.into_iter().enumerate() {
+            let j = 8 * h + t;
+            _mm_storeu_ps(base.add(j * cols.stride), _mm256_castps256_ps128(col));
+            _mm_storeu_ps(
+                base.add((j + 4) * cols.stride),
+                _mm256_extractf128_ps::<1>(col),
+            );
         }
     }
 }
@@ -354,24 +496,28 @@ impl SimdOps for Avx2Ops {
         unsafe { pack_row(src, dst) }
     }
 
-    fn micro_kernel_i32(
+    fn int_tile(
         &self,
-        kc: usize,
-        a: &[[u8; INT_KC]; INT_MR],
+        k: usize,
+        a: &[u8],
         w: &[u8],
-        acc: &mut [[i32; INT_NR]; INT_MR],
+        rows: &[IntRow],
+        cols: IntCols<'_>,
+        out: &mut [f32],
     ) {
-        assert!(kc <= INT_KC && w.len() >= int_panel_len(kc));
+        if !check_int_tile(k, a, w, rows, &cols, out) {
+            return;
+        }
         if self.vnni {
             // safety: `vnni` is set only on the instance `detected` returns
-            // after both the AVX2 and the `avxvnni` probe passed, and the
-            // assert above is the kernel's bounds precondition.
-            unsafe { micro_kernel_i32_vnni(kc, a, w, acc) }
+            // after both the AVX2 and the `avxvnni` probe passed, and
+            // `check_int_tile` above established the body's bounds.
+            unsafe { int_tile_vnni(k, a, w, rows, &cols, out) }
         } else {
             // safety: Avx2Ops exists only on hosts where the AVX2 probe
-            // passed, and the assert above is the kernel's bounds
-            // precondition.
-            unsafe { micro_kernel_i32_plain(kc, a, w, acc) }
+            // passed, and `check_int_tile` above established the body's
+            // bounds.
+            unsafe { int_tile_plain(k, a, w, rows, &cols, out) }
         }
     }
 

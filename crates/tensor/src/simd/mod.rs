@@ -14,11 +14,12 @@
 //!   tree holds only backends CI can build and test). Both AVX2 backends are
 //!   one type whose `f32` kernels are shared; they differ only in the
 //!   integer tile's body (`vpdpbusd` against `vpmaddwd`). The integer tile
-//!   accumulates exactly in `i32`, so its results are **bitwise
-//!   identical** to scalar on every arch. `f32`
-//!   kernels fall in two tiers: the micro-kernel/BN/pack paths replay the
-//!   scalar rounding sequence exactly (multiply then add per lane, no FMA,
-//!   no reassociation — bitwise tier), while transcendental tails
+//!   accumulates exactly in `i32` and dequantizes in the scalar
+//!   expression's operation order, so its results are **bitwise
+//!   identical** to scalar on every arch. `f32` kernels fall in two tiers:
+//!   the micro-kernel/BN/pack paths replay the scalar rounding sequence
+//!   exactly (multiply then add per lane, no FMA, no reassociation —
+//!   bitwise tier), while transcendental tails
 //!   (vectorized `exp`) are only ULP-bounded against scalar (tolerance
 //!   tier). The differential suite in `crates/tensor/tests` enforces both
 //!   tiers on every backend [`available`] lists, so a host with VNNI also
@@ -49,15 +50,10 @@ pub const INT_MR: usize = 4;
 /// Weight rows (output features) per integer panel and register tile: two
 /// 8-lane `i32` vectors per activation row on AVX2.
 pub const INT_NR: usize = 16;
-/// Depth of one `K` block of the integer GEMM: the block of raw activation
-/// levels (`INT_MR · INT_KC` bytes, 5 KiB) plus the panel slice it meets
-/// (`INT_NR · INT_KC` bytes, 20 KiB) fit a 32 KiB L1. No served layer is
-/// deeper than 1152, so every one runs as a single block.
-pub const INT_KC: usize = 1280;
-
-// Every K block must start on a whole quad: the driver hands the tile
-// `&panel[k0 * INT_NR..]`, which is a quad boundary only if `k0 % 4 == 0`.
-const _: () = assert!(INT_KC.is_multiple_of(4));
+/// Deepest reduction an integer tile takes: `2^16 · 255 · 128 < 2^31`, so
+/// no `i32` sum of `u8` levels against `i8` weights, and no zero-point
+/// correction of one, can leave `i32` (see [`SimdOps::int_tile`]).
+pub const INT_MAX_DEPTH: usize = 1 << 16;
 
 /// Byte offset of weight `(p, j)` — depth `p`, column `j < INT_NR` — inside
 /// one integer weight panel: `K` quads outermost, then the columns, then
@@ -73,6 +69,69 @@ pub const fn int_panel_index(p: usize, j: usize) -> usize {
 /// weights).
 pub const fn int_panel_len(k: usize) -> usize {
     k.div_ceil(4) * 4 * INT_NR
+}
+
+/// One activation row of an integer tile: the affine grid its levels were
+/// quantized on, and where its column-0 output goes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntRow {
+    /// Grid step `s_a`.
+    pub scale: f32,
+    /// Level `z` that represents `0.0` (`0..=255`).
+    pub zero_point: i32,
+    /// Index in `out` of the row's output for column 0.
+    pub out: usize,
+}
+
+/// The weight rows (output columns) of an integer tile, one entry per
+/// valid column, `nc ≤ INT_NR` of them.
+#[derive(Debug, Clone, Copy)]
+pub struct IntCols<'a> {
+    /// Per-column grid step `s_w`.
+    pub scales: &'a [f32],
+    /// Per-column weight sum `Σt`, for the zero-point correction.
+    pub row_sums: &'a [i32],
+    /// Per-column bias, added last.
+    pub bias: Option<&'a [f32]>,
+    /// Distance in `out` between consecutive columns' outputs.
+    pub stride: usize,
+}
+
+/// The preconditions of [`SimdOps::int_tile`], checked in full before any
+/// backend touches memory. Returns whether the tile has anything to store.
+fn check_int_tile(
+    k: usize,
+    a: &[u8],
+    w: &[u8],
+    rows: &[IntRow],
+    cols: &IntCols<'_>,
+    out: &[f32],
+) -> bool {
+    let (mr, nc) = (rows.len(), cols.scales.len());
+    assert!(
+        mr <= INT_MR && nc <= INT_NR,
+        "int_tile: {mr}x{nc} exceeds the tile"
+    );
+    assert!(k <= INT_MAX_DEPTH, "int_tile: depth {k} could overflow i32");
+    assert!(
+        a.len() >= mr * k && w.len() >= int_panel_len(k),
+        "int_tile: operands shorter than {mr} rows of depth {k}"
+    );
+    assert!(
+        cols.row_sums.len() == nc && cols.bias.is_none_or(|b| b.len() == nc),
+        "int_tile: column operands differ in length"
+    );
+    if mr == 0 || nc == 0 {
+        return false;
+    }
+    let span = (nc - 1).checked_mul(cols.stride);
+    assert!(
+        rows.iter().all(|r| span
+            .and_then(|s| s.checked_add(r.out))
+            .is_some_and(|last| last < out.len())),
+        "int_tile: an output index is outside `out`"
+    );
+    true
 }
 
 /// One SIMD backend: the complete set of dispatched micro-kernels.
@@ -96,36 +155,45 @@ pub trait SimdOps: Sync {
     /// (`dst.len() == src.len()`; a copy is trivially bitwise).
     fn pack_row_f32(&self, src: &[f32], dst: &mut [f32]);
 
-    /// The register-blocked integer GEMM inner kernel, shaped like
-    /// [`SimdOps::micro_kernel_f32`]:
-    /// `acc[i][j] += Σ_{p < kc} a[i][p] · w(p, j)`, where `a` holds
-    /// [`INT_MR`] rows of raw unsigned activation levels (`u8`, as the
-    /// quantizer wrote them) and `w` is (a `K` slice of) one weight panel in
-    /// the layout of [`int_panel_index`]: two's-complement `i8` bytes,
-    /// [`INT_NR`] columns wide, consecutive `K` quads interleaved per column.
-    /// Accumulation is exact in `i32` — order-independent, hence bitwise on
-    /// every arch and under any tiling or `K`-blocking the caller chooses.
+    /// One integer GEMM tile, from activation levels to stored floats: for
+    /// each tile row `i < rows.len()` (at most [`INT_MR`]) and column
+    /// `j < nc = cols.scales.len()` (at most [`INT_NR`]),
     ///
-    /// `w` must hold `kc` rounded up to a whole quad. A backend may multiply
-    /// through the last quad of a `kc` that is not a multiple of 4 in full,
-    /// so that quad's 1–3 trailing weights must be the zero padding the
-    /// layout prescribes; what `a` holds past `kc` (always inside the row,
-    /// since `INT_KC` is a multiple of 4) is then irrelevant. Levels are
-    /// `0..=255` and weights `-127..=127`, and the total depth accumulated
-    /// into one `acc` stays `≤ 2^16`: `2^16 · 255 · 127 < 2^31` keeps every
-    /// partial sum inside `i32`. The integer operands' one constructor
-    /// (`tia_quant::QuantizedWeights::quantize_rows`) refuses deeper rows,
-    /// so no caller can exceed it.
+    /// ```text
+    /// acc = Σ_{p < k} a[i·k + p] · w(p, j)
+    /// out[rows[i].out + j·cols.stride] = (s_a · s_w) · ((acc − z·Σt) as f32) (+ b)
+    /// ```
+    ///
+    /// with `s_a`, `z` from `rows[i]` and `s_w`, `Σt`, `b` from `cols` at
+    /// `j`. `a` holds the tile's rows of raw unsigned levels in place, `k`
+    /// bytes apart (a level matrix `[m, k]` sliced at the tile's first row),
+    /// and is never read past row `rows.len() − 1`'s byte `k`. `w` is one
+    /// weight panel in the layout of [`int_panel_index`]: two's-complement
+    /// `i8` bytes, [`INT_NR`] columns wide, `K` quads interleaved, the 1–3
+    /// padding weights of a partial last quad zero.
+    ///
+    /// The sums are exact in `i32`, so every backend and every summation
+    /// order gives the same bits. The correction `acc − z·Σt = Σ(q − z)·t`
+    /// stays in `i32` too: with levels and `z` in `0..=255`, weights in
+    /// `-128..=127` and `k ≤` [`INT_MAX_DEPTH`], `|z·Σt|` and `|Σ(q − z)·t|`
+    /// are below `2^16 · 255 · 128 < 2^31`, and `i32 → f32` rounds as any
+    /// wider integer of the same value would. The scalar backend holds the
+    /// expression; a vector backend replays its operation order per lane.
     ///
     /// # Panics
     ///
-    /// Panics if `kc > INT_KC` or `w` is shorter than [`int_panel_len`]`(kc)`.
-    fn micro_kernel_i32(
+    /// Panics if the tile exceeds `INT_MR × INT_NR`, `k > INT_MAX_DEPTH`,
+    /// `a` is shorter than `rows.len()·k` or `w` than [`int_panel_len`]`(k)`,
+    /// the column operands differ in length, or an output index is outside
+    /// `out`.
+    fn int_tile(
         &self,
-        kc: usize,
-        a: &[[u8; INT_KC]; INT_MR],
+        k: usize,
+        a: &[u8],
         w: &[u8],
-        acc: &mut [[i32; INT_NR]; INT_MR],
+        rows: &[IntRow],
+        cols: IntCols<'_>,
+        out: &mut [f32],
     );
 
     /// One batch-norm inference row: `y[j] = g·((x[j] − mean)·inv_std) + b`

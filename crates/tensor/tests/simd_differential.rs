@@ -10,7 +10,8 @@
 use std::io::Write;
 use std::sync::Once;
 use tia_tensor::simd::{
-    self, int_panel_index, int_panel_len, KernelMode, SimdOps, INT_KC, INT_MR, INT_NR, MR, NR,
+    self, int_panel_index, int_panel_len, IntCols, IntRow, KernelMode, SimdOps, INT_MAX_DEPTH,
+    INT_MR, INT_NR, MR, NR,
 };
 use tia_tensor::{gemm_ws, softmax_rows, SeededRng, Tensor, Workspace};
 
@@ -93,169 +94,264 @@ fn pack_row_is_bitwise_equal_across_backends() {
     }
 }
 
-/// One integer tile problem in the kernel's own operand layout.
+/// Where a tile's outputs go: the offset of each row's column-0 output,
+/// the column stride, and which of two grids each row is quantized on.
+struct Layout {
+    name: &'static str,
+    outs: [usize; INT_MR],
+    stride: usize,
+    groups: [usize; INT_MR],
+}
+
+/// Every output arrangement the driver produces, and three it does not:
+/// rows a row of outputs apart under a unit column stride (row-major, one
+/// grid per row as a linear layer has), with and without padding; rows that
+/// are neighbours in one plane (conv, one grid per image), with and without
+/// padding between planes; a tile whose rows straddle two images' planes;
+/// strides that are neither; and neighbouring rows at the tightest column
+/// stride the transposed store may take (4) and one below it (2), whose
+/// outputs coincide and must come out in the scalar write order.
+const LAYOUTS: [Layout; 8] = [
+    Layout {
+        name: "row-major",
+        outs: [0, 16, 32, 48],
+        stride: 1,
+        groups: [0, 1, 0, 1],
+    },
+    Layout {
+        name: "row-major padded",
+        outs: [5, 24, 43, 62],
+        stride: 1,
+        groups: [0, 0, 1, 1],
+    },
+    Layout {
+        name: "planes",
+        outs: [2, 3, 4, 5],
+        stride: 7,
+        groups: [0; INT_MR],
+    },
+    Layout {
+        name: "planes padded",
+        outs: [1, 2, 3, 4],
+        stride: 9,
+        groups: [0; INT_MR],
+    },
+    Layout {
+        name: "planes straddling two groups",
+        outs: [4, 5, 99, 100],
+        stride: 6,
+        groups: [0, 0, 1, 1],
+    },
+    Layout {
+        name: "strided",
+        outs: [0, 33, 66, 99],
+        stride: 2,
+        groups: [0, 1, 1, 0],
+    },
+    Layout {
+        name: "planes at stride 4",
+        outs: [3, 4, 5, 6],
+        stride: 4,
+        groups: [0; INT_MR],
+    },
+    Layout {
+        name: "neighbours at stride 2",
+        outs: [0, 1, 2, 3],
+        stride: 2,
+        groups: [0; INT_MR],
+    },
+];
+
+/// One integer tile problem in the tile's own operand layout. The level
+/// matrix is exactly `mr · k` bytes, so a read past the last row's end is
+/// outside its allocation.
 struct TileCase {
-    kc: usize,
-    a: Box<[[u8; INT_KC]; INT_MR]>,
+    k: usize,
+    a: Vec<u8>,
     w: Vec<u8>,
-    acc: [[i32; INT_NR]; INT_MR],
+    rows: Vec<IntRow>,
+    scales: Vec<f32>,
+    row_sums: Vec<i32>,
+    bias: Option<Vec<f32>>,
+    stride: usize,
 }
 
 impl TileCase {
-    /// `level(i, p)` and `weight(p, j)` fill the valid depth; everything
-    /// past it — the rest of each activation row, and the panel's 1–3
-    /// padding weights when `kc` is not a multiple of 4 — is `a_pad` and
-    /// zero.
+    /// `level(i, p)` and `weight(p, j)` fill the valid depth; the panel's
+    /// 1–3 padding weights of a partial last quad are zero.
+    #[allow(clippy::too_many_arguments)] // a tile's operand list
     fn new(
-        kc: usize,
-        a_pad: u8,
-        acc: i32,
+        k: usize,
+        nc: usize,
+        layout: &Layout,
+        mr: usize,
+        grids: [(f32, i32); 2],
+        with_bias: bool,
         mut level: impl FnMut(usize, usize) -> u8,
         mut weight: impl FnMut(usize, usize) -> i8,
     ) -> Self {
-        let mut a = Box::new([[a_pad; INT_KC]; INT_MR]);
-        let mut w = vec![0u8; int_panel_len(kc)];
-        for p in 0..kc {
-            for (i, row) in a.iter_mut().enumerate() {
-                row[p] = level(i, p);
-            }
+        let a = (0..mr * k).map(|x| level(x / k, x % k)).collect();
+        let mut w = vec![0u8; int_panel_len(k)];
+        let mut row_sums = vec![0i32; nc];
+        for p in 0..k {
             for j in 0..INT_NR {
-                w[int_panel_index(p, j)] = weight(p, j) as u8;
+                let t = weight(p, j);
+                w[int_panel_index(p, j)] = t as u8;
+                if j < nc {
+                    row_sums[j] += t as i32;
+                }
             }
         }
+        let rows = (0..mr)
+            .map(|i| {
+                let (scale, zero_point) = grids[layout.groups[i]];
+                IntRow {
+                    scale,
+                    zero_point,
+                    out: layout.outs[i],
+                }
+            })
+            .collect();
+        let scales = (0..nc).map(|j| 0.001 + 0.013 * j as f32).collect();
+        let bias = with_bias.then(|| (0..nc).map(|j| j as f32 - 7.25).collect());
         Self {
-            kc,
+            k,
             a,
             w,
-            acc: [[acc; INT_NR]; INT_MR],
+            rows,
+            scales,
+            row_sums,
+            bias,
+            stride: layout.stride,
         }
     }
 
-    /// The plain triple loop in `i64`, reading operands by index.
-    fn naive(&self) -> [[i64; INT_NR]; INT_MR] {
-        let mut want = [[0i64; INT_NR]; INT_MR];
-        for (i, row) in want.iter_mut().enumerate() {
-            for (j, c) in row.iter_mut().enumerate() {
-                *c = self.acc[i][j] as i64;
-                for p in 0..self.kc {
-                    *c += self.a[i][p] as i64 * (self.w[int_panel_index(p, j)] as i8) as i64;
-                }
+    fn cols(&self) -> IntCols<'_> {
+        IntCols {
+            scales: &self.scales,
+            row_sums: &self.row_sums,
+            bias: self.bias.as_deref(),
+            stride: self.stride,
+        }
+    }
+
+    /// Past the largest index any layout writes; the rest stays poison.
+    const OUT_LEN: usize = 200;
+
+    /// The plain loop in `i64`, reading operands by index, through the
+    /// dequantization expression; poison everywhere else. Columns
+    /// outermost, the scalar backend's write order, which decides outputs
+    /// that coincide.
+    fn naive(&self) -> Vec<u32> {
+        let mut want = vec![POISON; Self::OUT_LEN];
+        for (j, &s_w) in self.scales.iter().enumerate() {
+            for (i, row) in self.rows.iter().enumerate() {
+                let acc: i64 = (0..self.k)
+                    .map(|p| {
+                        let t = self.w[int_panel_index(p, j)] as i8;
+                        self.a[i * self.k + p] as i64 * t as i64
+                    })
+                    .sum();
+                let corrected = acc - row.zero_point as i64 * self.row_sums[j] as i64;
+                let v = (row.scale * s_w) * (corrected as f32);
+                let v = self.bias.as_ref().map_or(v, |b| v + b[j]);
+                want[row.out + j * self.stride] = v.to_bits();
             }
         }
         want
     }
 
-    /// Every backend's tile ≡ the scalar tile ≡ the naive loop.
+    /// Every backend's tile ≡ the naive loop, bit for bit, on every output
+    /// and on every element no output reaches.
     fn check(&self, what: &str) {
         let want = self.naive();
         for ops in backends() {
-            let mut acc = self.acc;
-            ops.micro_kernel_i32(self.kc, &self.a, &self.w, &mut acc);
-            for i in 0..INT_MR {
-                for j in 0..INT_NR {
-                    assert_eq!(
-                        acc[i][j] as i64,
-                        want[i][j],
-                        "{}: {what} kc={} acc[{i}][{j}]",
-                        ops.name(),
-                        self.kc
-                    );
-                }
-            }
+            let mut out = vec![f32::from_bits(POISON); Self::OUT_LEN];
+            ops.int_tile(self.k, &self.a, &self.w, &self.rows, self.cols(), &mut out);
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                got,
+                want,
+                "{}: {what} k={} mr={} nc={}",
+                ops.name(),
+                self.k,
+                self.rows.len(),
+                self.scales.len()
+            );
         }
     }
 }
+
+/// A value no dequantized sum produces.
+const POISON: u32 = 0x7FC0_DEAD;
 
 #[test]
 fn integer_tile_is_exact_across_backends() {
+    // Every tile shape, every output layout and depths on both sides of a
+    // K quad, of the deepest served layer and of the old 1280-deep K block;
+    // an empty reduction stores the bias alone.
     let mut rng = SeededRng::new(103);
-    for kc in [
-        0usize,
-        1,
-        2,
-        3,
-        6,
-        15,
-        16,
-        17,
-        143,
-        144,
-        146,
-        INT_KC - 2,
-        INT_KC - 1,
-        INT_KC,
-    ] {
-        // u8 levels against full-range i8 weights, extremes 255 and -128
-        // included, into accumulators a previous K block already filled.
-        for acc in [0, -1_000_003] {
-            let mut wrng = SeededRng::new(kc as u64);
-            TileCase::new(
-                kc,
-                0,
-                acc,
-                |_, _| rng.below(256) as u8,
-                |_, _| wrng.below(256) as u8 as i8,
-            )
-            .check("random");
+    for k in [0usize, 1, 2, 3, 5, 146, 1152, 1279, 1280, 1281] {
+        for mr in 1..=INT_MR {
+            for nc in [1usize, 7, 8, 9, 15, 16] {
+                for (l, layout) in LAYOUTS.iter().enumerate() {
+                    // Full-range u8 levels against full-range i8 weights,
+                    // on two random grids.
+                    let grids = [0, 1].map(|_| (rng.uniform_in(0.001, 0.1), rng.below(256) as i32));
+                    let seed = rng.next_u64();
+                    let mut wrng = SeededRng::new(seed);
+                    TileCase::new(
+                        k,
+                        nc,
+                        layout,
+                        mr,
+                        grids,
+                        (l + nc) % 2 == 0,
+                        |_, _| rng.below(256) as u8,
+                        |_, _| wrng.below(256) as u8 as i8,
+                    )
+                    .check(layout.name);
+                }
+            }
         }
-        // 4-bit operands in byte lanes: levels 0..=15, weights -7..=7.
-        let mut wrng = SeededRng::new(!(kc as u64));
-        TileCase::new(
-            kc,
-            0,
-            0,
-            |_, _| rng.below(16) as u8,
-            |_, _| wrng.below(15) as i8 - 7,
-        )
-        .check("4-bit");
-    }
-}
-
-#[test]
-fn odd_depth_padding_is_inert_on_every_backend() {
-    // A depth 1–3 short of a quad ends in a partial quad: the panel's
-    // padding weights are zero by layout, so whatever the activation row
-    // holds past `kc` (here the largest level) must not reach any sum.
-    for kc in [1usize, 2, 6, 7, 17, 143, 146, INT_KC - 2, INT_KC - 1] {
-        TileCase::new(
-            kc,
-            255,
-            5,
-            |i, p| (i * 31 + p * 7) as u8,
-            |p, j| (p * 13 + j * 5) as u8 as i8,
-        )
-        .check("poisoned padding level");
     }
 }
 
 #[test]
 fn deepest_allowed_accumulation_stays_inside_i32() {
     // The worst case the weight constructor admits: every level 255 against
-    // every weight at ±127 over a depth of 2^16, accumulated K block by K
-    // block into one tile. Sign per column, so both extremes are reached.
-    const MAX_DEPTH: usize = 1 << 16;
-    let case = TileCase::new(
-        INT_KC,
-        0,
-        0,
-        |_, _| 255,
-        |_, j| if j % 2 == 0 { 127 } else { -127 },
-    );
-    for ops in backends() {
-        let mut acc = case.acc;
-        for k0 in (0..MAX_DEPTH).step_by(INT_KC) {
-            ops.micro_kernel_i32(INT_KC.min(MAX_DEPTH - k0), &case.a, &case.w, &mut acc);
-        }
-        for row in &acc {
-            for (j, &c) in row.iter().enumerate() {
-                let sign = if j % 2 == 0 { 1 } else { -1 };
-                assert_eq!(
-                    c as i64,
-                    sign * 255 * 127 * MAX_DEPTH as i64,
-                    "{}",
-                    ops.name()
-                );
+    // every weight at ±127 over a depth of 2^16, in one tile call. Sign per
+    // column, so both extremes are reached; with z = 255 the correction
+    // `z·Σt` is as large and cancels the sums. Unit scales store the
+    // corrected sum itself. Through the transposed store (planes) and the
+    // scalar fall-back (row-major, strided).
+    for z in [0, 255] {
+        for layout in [&LAYOUTS[0], &LAYOUTS[2], &LAYOUTS[5]] {
+            let mut case = TileCase::new(
+                INT_MAX_DEPTH,
+                INT_NR,
+                layout,
+                INT_MR,
+                [(1.0, z); 2],
+                false,
+                |_, _| 255,
+                |_, j| if j % 2 == 0 { 127 } else { -127 },
+            );
+            case.scales.fill(1.0);
+            let want = case.naive();
+            for row in &case.rows {
+                for j in 0..INT_NR {
+                    let sign = if j % 2 == 0 { 1 } else { -1 };
+                    let sum = if z == 0 {
+                        sign * 255 * 127 * INT_MAX_DEPTH as i64
+                    } else {
+                        0
+                    };
+                    let got = f32::from_bits(want[row.out + j * case.stride]);
+                    assert_eq!(got as i64, sum, "reference z={z} {}", layout.name);
+                }
             }
+            case.check("deepest allowed accumulation");
         }
     }
 }

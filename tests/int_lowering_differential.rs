@@ -13,9 +13,10 @@
 //! vector, and depths that end in a partial `K` quad (its padding weights).
 //!
 //! One tier further down, `gemm_quant_strided_matches_naive_on_tile_edges`
-//! fuzzes the blocked GEMM driver itself on shapes chosen to straddle its
-//! tile, panel, `K`-quad and `K`-block edges, against a reference that
-//! knows nothing of tiles, on every backend the host can run.
+//! fuzzes the tiled GEMM driver itself on shapes chosen to straddle its
+//! tile, panel and `K`-quad edges, at depths from 1 to past twice the
+//! deepest served layer, against a reference that knows nothing of tiles,
+//! on every backend the host can run.
 
 use std::io::Write;
 use two_in_one_accel::nn::{Conv2d, Layer};
@@ -24,7 +25,7 @@ use two_in_one_accel::quant::{
     gemm_quant, gemm_quant_strided, quantize_affine_levels, quantize_affine_levels_hwc, OutStrides,
     QuantizedWeights,
 };
-use two_in_one_accel::tensor::simd::{INT_KC, INT_MR, INT_NR};
+use two_in_one_accel::tensor::simd::{INT_MR, INT_NR};
 use two_in_one_accel::tensor::{im2col_levels_rows, simd, Conv2dGeometry, Workspace};
 
 /// The reference lowering: `[C, H, W]` levels to rows in `(ci, ki, kj)`
@@ -230,27 +231,13 @@ const POISON: u32 = 0x7FC0_DEAD;
 fn tile_edge_case(seed: u64) {
     let mut rng = SeededRng::new(seed);
     // Groups of 1, 3 or 9 rows straddle the INT_MR-row blocks; widths and
-    // depths sit on both sides of a panel, a K quad and a K block.
+    // depths sit on both sides of a panel and a K quad, and depths run past
+    // the deepest served layer (1152) to twice and more of 1280.
     let groups = 1 + rng.below(4);
     let rpg = *rng.choose(&[1, 1, 3, 3, 9, INT_MR, 2 * INT_MR + 1]);
     let n = *rng.choose(&[1, 2, 10, INT_NR - 1, INT_NR, INT_NR + 1, 2 * INT_NR + 3]);
     let k = *rng.choose(&[
-        1,
-        2,
-        3,
-        6,
-        7,
-        16,
-        17,
-        33,
-        144,
-        145,
-        146,
-        INT_KC - 1,
-        INT_KC,
-        INT_KC + 1,
-        INT_KC + 2,
-        2 * INT_KC + 1,
+        1, 2, 3, 6, 7, 16, 17, 33, 144, 145, 146, 1279, 1280, 1281, 1282, 2561,
     ]);
     let bits = 2 + rng.below(7) as u8;
     let with_bias = rng.below(2) == 0;
