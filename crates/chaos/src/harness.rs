@@ -15,7 +15,7 @@ use tia_nn::zoo;
 use tia_quant::{Precision, PrecisionSet};
 use tia_serve::wire::Class;
 use tia_serve::{ControlConfig, FaultPlan, MetricsSnapshot, Server, ServerConfig};
-use tia_tensor::{KernelMode, SeededRng};
+use tia_tensor::SeededRng;
 
 /// Engine worker shards per chaos server.
 const WORKERS: usize = 2;
@@ -121,16 +121,9 @@ fn server_config(cfg: &ChaosConfig) -> ServerConfig {
     }
     // Every chaos server flies with the recorder on: the span-completeness
     // invariant (admit -> exactly one of sent/shed/errored) is checked on
-    // every run, whatever the scenario.
-    // Digest-checked scenarios pin the scalar reference kernels so the
-    // per-seed logits digest is comparable across hosts and across
-    // `TIA_KERNEL` settings; fault scenarios serve whatever this process
-    // serves in production.
-    let kernel = if cfg.scenario.deterministic() {
-        KernelMode::Scalar
-    } else {
-        KernelMode::global_default()
-    };
+    // every run, whatever the scenario. The kernel mode is whatever
+    // `TIA_KERNEL` says: it chooses speed only, so a per-seed logits digest
+    // is the same under either.
     let base = ServerConfig::default()
         .with_addr("127.0.0.1:0")
         .with_trace()
@@ -140,8 +133,7 @@ fn server_config(cfg: &ChaosConfig) -> ServerConfig {
         .with_engine(
             EngineConfig::default()
                 .with_max_batch(MAX_BATCH)
-                .with_seed(engine_seed)
-                .with_kernel(kernel),
+                .with_seed(engine_seed),
         )
         .with_faults(faults);
     match cfg.scenario {

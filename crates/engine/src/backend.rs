@@ -72,10 +72,9 @@ pub trait Backend {
     /// The currently active precision.
     fn precision(&self) -> Option<Precision>;
 
-    /// Selects the kernel dispatch mode (`Scalar` = pinned bitwise
-    /// reference kernels and f32 fake-quant inference, `Native` = runtime
-    /// SIMD dispatch plus the true-integer serving path). Backends without
-    /// a kernel notion ignore it (the default).
+    /// Selects the kernel dispatch mode (`Scalar` = the portable loops,
+    /// `Native` = runtime SIMD dispatch), a speed choice that must not move
+    /// a logit. Backends without a kernel notion ignore it (the default).
     fn set_kernel(&mut self, k: KernelMode) {
         let _ = k;
     }

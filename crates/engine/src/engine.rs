@@ -18,10 +18,10 @@ pub struct EngineConfig {
     /// reproducible precision-switch schedule.
     pub seed: u64,
     /// Kernel dispatch mode pushed into the backend at engine construction:
-    /// `Scalar` pins the bitwise reference kernels (reproducing historical
-    /// logits exactly), `Native` enables runtime SIMD dispatch and the
-    /// true-integer serving path. Defaults to the process-wide mode from
-    /// the `TIA_KERNEL` environment variable (`native` when unset).
+    /// `Scalar` runs the portable loops, `Native` the runtime-detected SIMD
+    /// backend, with the same logits bit for bit. Defaults to the
+    /// process-wide mode from the `TIA_KERNEL` environment variable
+    /// (`native` when unset).
     pub kernel: KernelMode,
 }
 

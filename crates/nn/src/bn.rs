@@ -65,7 +65,7 @@ fn bn_forward(
     let mut inv_stds = ws.take_zeroed(c);
     // The no-cache (Infer) rows dispatch to the SIMD backend; its `bn_row`
     // applies the operations in the exact order of the scalar expression
-    // below, so every backend stays in the bitwise determinism tier.
+    // below, so every backend gives the scalar bits.
     let ops = simd::backend(ws.kernel());
     // All loops walk the contiguous per-(image, channel) rows of NCHW
     // directly — same element order (hence bitwise-identical accumulation)

@@ -206,7 +206,7 @@ impl Layer for Conv2d {
     fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.shape().len(), 4, "Conv2d expects NCHW input");
         let depth = self.geo.in_channels * self.geo.kernel_h * self.geo.kernel_w;
-        if let Some(p) = integer_path(mode, ws, self.precision, depth) {
+        if let Some(p) = integer_path(mode, self.precision, depth) {
             return self.forward_int(x, p, ws);
         }
         let (n, _c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);

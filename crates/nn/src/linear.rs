@@ -160,7 +160,7 @@ impl Layer for Linear {
     fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.shape().len(), 2, "Linear expects [N, F]");
         assert_eq!(x.shape()[1], self.in_features, "Linear feature mismatch");
-        if let Some(p) = integer_path(mode, ws, self.precision, self.in_features) {
+        if let Some(p) = integer_path(mode, self.precision, self.in_features) {
             return self.forward_int(x, p, ws);
         }
         let n = x.shape()[0];

@@ -70,9 +70,9 @@ impl Network {
     }
 
     /// Sets the kernel dispatch mode threaded to every layer via the
-    /// workspace. `KernelMode::Scalar` pins the bitwise reference kernels
-    /// (and with them the f32 fake-quant inference path); `Native` enables
-    /// the runtime-detected SIMD backend and the true-integer serving path.
+    /// workspace: `KernelMode::Scalar` runs the portable loops, `Native`
+    /// the runtime-detected SIMD backend. A speed choice only — every
+    /// forward, backward and served logit is the same bits under either.
     pub fn set_kernel(&mut self, k: KernelMode) {
         self.ws.set_kernel(k);
     }

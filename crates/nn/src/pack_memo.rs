@@ -13,8 +13,7 @@
 
 use crate::layer::Mode;
 use tia_quant::{Precision, QuantizedWeights};
-use tia_tensor::simd::KernelMode;
-use tia_tensor::{PackedMatrix, Tensor, Workspace};
+use tia_tensor::{PackedMatrix, Tensor};
 
 /// One memo entry: the fake-quantized weight tensor (backward passes
 /// multiply by it) and the same values prepacked for the forward GEMM.
@@ -104,11 +103,11 @@ impl PackMemo {
 }
 
 /// Crossover depth for the integer path: layers with a shallower reduction
-/// stay on the f32 fake-quant path even under `native`, deeper ones take
-/// the integer GEMM; ≤ 4-bit precisions cross over higher. Both values were
-/// measured against the row-at-a-time integer kernels the tiled GEMM
-/// replaced and are speed choices of that time — the tile, which runs every
-/// precision at one speed, is ahead of the f32 panels well below either.
+/// stay on the f32 fake-quant path, deeper ones take the integer GEMM;
+/// ≤ 4-bit precisions cross over higher. Both values were measured against
+/// the row-at-a-time integer kernels the tiled GEMM replaced and are speed
+/// choices of that time — the tile, which runs every precision at one
+/// speed, is ahead of the f32 panels well below either.
 /// They stay as they are because, while the integer grid and the fake-quant
 /// grid differ, moving a layer across the crossover changes its logits
 /// (ROADMAP item 1 makes that numerically free; re-measure then).
@@ -116,24 +115,18 @@ const INT_CROSSOVER_K: usize = 48;
 const INT_CROSSOVER_K_SUB_BYTE: usize = 96;
 
 /// Whether a forward call takes the true-integer serving path: inference
-/// mode, `native` kernel dispatch, a precision whose levels fit the
-/// byte-wide kernels, and a reduction depth `k` past the kernel's
-/// crossover. Everything else (training, eval/attack passes, the pinned
-/// `scalar` mode, >8-bit grids, shallow reductions) keeps the f32
-/// fake-quant path — which is also why `TIA_KERNEL=scalar` reproduces
-/// historical logits bit for bit. The choice is a pure function of the
-/// layer shape, never of the batch, so batched ≡ per-sample bitwise
-/// identity survives the selection.
-pub(crate) fn integer_path(
-    mode: Mode,
-    ws: &Workspace,
-    p: Option<Precision>,
-    k: usize,
-) -> Option<Precision> {
+/// mode, a precision whose levels fit the byte-wide kernels, and a
+/// reduction depth `k` past the crossover. Everything else (training,
+/// eval/attack passes, >8-bit grids, shallow reductions) keeps the f32
+/// fake-quant path. The kernel mode plays no part: the integer tile gives
+/// the same bits on every backend, so `scalar` serves the very network
+/// `native` does, only slower. The choice is a pure function of the layer
+/// shape, never of the batch, so batched ≡ per-sample bitwise identity
+/// survives the selection.
+pub(crate) fn integer_path(mode: Mode, p: Option<Precision>, k: usize) -> Option<Precision> {
     match p {
         Some(prec)
             if mode == Mode::Infer
-                && ws.kernel() == KernelMode::Native
                 && (2..=8).contains(&prec.bits())
                 && k >= if prec.bits() <= 4 {
                     INT_CROSSOVER_K_SUB_BYTE

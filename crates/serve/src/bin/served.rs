@@ -12,14 +12,8 @@
 //!            [--adaptive] [--floor-interactive N|none]
 //!            [--floor-normal N|none] [--floor-batch N|none]
 //!            [--p99-budget-ms MS] [--cooldown CYCLES]
-//!            [--trace-out FILE] [--kernel scalar|native]
+//!            [--trace-out FILE]
 //! ```
-//!
-//! `--kernel` selects the compute-kernel dispatch mode for every worker
-//! shard: `native` (the default) uses the best SIMD backend the host
-//! supports plus the true-integer quantized serving path; `scalar` pins
-//! the portable reference kernels, reproducing historical logits bit for
-//! bit. Overrides the `TIA_KERNEL` environment variable.
 //!
 //! `--max-wait-ms` is the deadline-aware scheduler's batch-forming wait:
 //! how long to hold a partial batch for more arrivals (0 = form
@@ -43,7 +37,7 @@ use tia_nn::zoo;
 use tia_quant::PrecisionSet;
 use tia_serve::cli::{parse_floor, parse_policy, Args};
 use tia_serve::{Class, ControlConfig, Server, ServerConfig};
-use tia_tensor::{simd, KernelMode, SeededRng};
+use tia_tensor::SeededRng;
 
 fn main() {
     if let Err(e) = run() {
@@ -74,7 +68,6 @@ fn run() -> Result<(), String> {
             "p99-budget-ms",
             "cooldown",
             "trace-out",
-            "kernel",
         ],
         &["adaptive"],
     )?;
@@ -95,11 +88,6 @@ fn run() -> Result<(), String> {
     let width: usize = args.get_or("width", 4)?;
     let classes: usize = args.get_or("classes", 10)?;
     let policy = parse_policy(args.get("policy").unwrap_or("rps4-8"))?;
-    let kernel = match args.get("kernel") {
-        Some(s) => KernelMode::parse(s)
-            .ok_or_else(|| format!("--kernel: expected \"scalar\" or \"native\", got {s:?}"))?,
-        None => KernelMode::global_default(),
-    };
     let control = if args.has("adaptive") {
         let mut ctrl = ControlConfig::default();
         for (flag, class) in [
@@ -151,8 +139,7 @@ fn run() -> Result<(), String> {
         .with_engine(
             EngineConfig::default()
                 .with_max_batch(max_batch)
-                .with_seed(seed)
-                .with_kernel(kernel),
+                .with_seed(seed),
         );
     if let Some(ctrl) = control.clone() {
         cfg = cfg.with_control(ctrl);
@@ -176,15 +163,6 @@ fn run() -> Result<(), String> {
         "tia-served: serving [{}x{}x{}] under {} on {} ({} worker shard(s), max batch {}, queue {}, max wait {} ms)",
         channels, image, image, policy, server.addr(), workers, max_batch, queue_cap, max_wait_ms
     );
-    match kernel {
-        KernelMode::Native => println!(
-            "tia-served: kernel dispatch: native ({} backend)",
-            simd::detect_name()
-        ),
-        KernelMode::Scalar => {
-            println!("tia-served: kernel dispatch: scalar (pinned reference kernels)")
-        }
-    }
     if let Some(ctrl) = &control {
         let floor = |c: Class| {
             ctrl.floor_for(c)

@@ -1,28 +1,30 @@
 //! Softmax-family ops and small utilities operating on 2-D batches.
 
-use crate::simd::{self, KernelMode};
 use crate::Tensor;
 
-/// Row-wise softmax of a `[n, c]` tensor.
+/// Row-wise softmax of a `[n, c]` tensor (numerically stable).
 ///
-/// The max/exp/sum tail dispatches through the process-default
-/// [`KernelMode`] (`TIA_KERNEL`); vectorized backends are ULP-bounded
-/// against scalar here (the one tolerance-tier kernel — see
-/// [`crate::simd`]).
+/// One scalar expression on every host and under every `KernelMode`: the
+/// row maximum, then `exp(x − max)` through libm's `f32::exp` summed left
+/// to right, then a divide. A softmax over tens of classes is no hot
+/// kernel, so nothing here is dispatched.
 ///
 /// # Panics
 ///
 /// Panics if `x` is not 2-D.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
-    let ops = simd::backend(KernelMode::global_default());
     assert_eq!(x.shape().len(), 2, "softmax_rows expects 2-D");
     let (n, c) = (x.shape()[0], x.shape()[1]);
     let mut out = Tensor::zeros(&[n, c]);
     for i in 0..n {
         let row = &x.data()[i * c..(i + 1) * c];
-        let m = ops.max_f32(row);
+        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let orow = &mut out.data_mut()[i * c..(i + 1) * c];
-        let denom = ops.exp_sub_sum(row, m, orow);
+        let mut denom = 0.0;
+        for (o, &v) in orow.iter_mut().zip(row) {
+            *o = (v - m).exp();
+            denom += *o;
+        }
         for o in orow.iter_mut() {
             *o /= denom;
         }

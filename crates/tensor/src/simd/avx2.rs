@@ -4,19 +4,20 @@
 //! kernel is shared, and only the integer tile has two bodies, chosen once
 //! at detection (`avx2-vnni` exists only after the `avxvnni` probe passed).
 //!
-//! Determinism tiers (see the module docs):
+//! Every kernel gives the scalar backend's bits (the one determinism tier —
+//! see the module docs):
 //!
 //! * `micro_kernel_f32` vectorizes across the `NR` output columns — one
 //!   256-bit lane vector per accumulator row — and performs exactly one
 //!   `vmulps` + one `vaddps` per `(i, p)` term, in increasing-`p` order.
 //!   Each output element therefore sees the *identical* rounding sequence
-//!   as the scalar kernel: bitwise tier. FMA is deliberately not used
-//!   (fused rounding would diverge from the reference).
-//! * `bn_row` replays the scalar expression's operation order per lane:
-//!   bitwise tier. `pack_row_f32` is a copy: bitwise trivially.
+//!   as the scalar kernel. FMA is deliberately not used (fused rounding
+//!   would diverge from the reference).
+//! * `bn_row` replays the scalar expression's operation order per lane.
+//!   `pack_row_f32` is a copy.
 //! * `int_tile` sums in exact integer arithmetic in both bodies, so any
 //!   summation order gives the same value, and dequantizes with the scalar
-//!   expression's operations lane by lane: bitwise tier.
+//!   expression's operations lane by lane.
 //!   - The VNNI body multiplies each K quad with `vpdpbusd`: four
 //!     `u8 × i8` products per `i32` lane, summed and added to the lane
 //!     without saturation (the `vpdpbusds` form is the saturating one). Each
@@ -33,9 +34,6 @@
 //!
 //!   `vpmaddubsw` is avoided in both: it adds its two `u8 × i8` products in
 //!   saturating `i16`, and `2 · 255 · 127` does not fit.
-//! * `exp_sub_sum` uses a Cephes-style polynomial `exp` and a reassociated
-//!   lane sum: tolerance tier, ULP-bounded against scalar by the
-//!   differential suite.
 
 #![allow(unsafe_code)]
 
@@ -380,103 +378,6 @@ unsafe fn bn_row(x: &[f32], y: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f
     }
 }
 
-// safety: same AVX2-availability contract as `micro_kernel`.
-#[target_feature(enable = "avx2")]
-unsafe fn max_f32(x: &[f32]) -> f32 {
-    let n = x.len();
-    let xp = x.as_ptr();
-    let mut m = f32::NEG_INFINITY;
-    let mut i = 0;
-    if n >= 8 {
-        let mut mv = _mm256_loadu_ps(xp);
-        i = 8;
-        while i + 8 <= n {
-            mv = _mm256_max_ps(mv, _mm256_loadu_ps(xp.add(i)));
-            i += 8;
-        }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), mv);
-        for v in lanes {
-            m = m.max(v);
-        }
-    }
-    while i < n {
-        m = m.max(*xp.add(i));
-        i += 1;
-    }
-    m
-}
-
-// Cephes-style polynomial expf constants (as in the classic avx_mathfun).
-const EXP_HI: f32 = 88.376_26;
-const EXP_LO: f32 = -88.376_26;
-const LOG2EF: f32 = std::f32::consts::LOG2_E;
-const C1: f32 = 0.693_359_4;
-const C2: f32 = -2.121_944_4e-4;
-const P0: f32 = 1.987_569_1e-4;
-const P1: f32 = 1.398_199_9e-3;
-const P2: f32 = 8.333_452e-3;
-const P3: f32 = 4.166_579_6e-2;
-const P4: f32 = 1.666_666_5e-1;
-const P5: f32 = 5.0e-1;
-
-// safety: same AVX2-availability contract as `micro_kernel`.
-#[target_feature(enable = "avx2")]
-unsafe fn exp_ps(x: __m256) -> __m256 {
-    let one = _mm256_set1_ps(1.0);
-    let x = _mm256_min_ps(
-        _mm256_max_ps(x, _mm256_set1_ps(EXP_LO)),
-        _mm256_set1_ps(EXP_HI),
-    );
-    // n = floor(x * log2(e) + 0.5); r = x - n*ln2 (split high/low).
-    let fx = _mm256_floor_ps(_mm256_add_ps(
-        _mm256_mul_ps(x, _mm256_set1_ps(LOG2EF)),
-        _mm256_set1_ps(0.5),
-    ));
-    let r = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(C1)));
-    let r = _mm256_sub_ps(r, _mm256_mul_ps(fx, _mm256_set1_ps(C2)));
-    // Degree-5 polynomial for exp(r) on r ∈ [-ln2/2, ln2/2].
-    let mut y = _mm256_set1_ps(P0);
-    y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P1));
-    y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P2));
-    y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P3));
-    y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P4));
-    y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P5));
-    let r2 = _mm256_mul_ps(r, r);
-    y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, r2), r), one);
-    // Scale by 2^n via exponent-field arithmetic.
-    let n = _mm256_add_epi32(_mm256_cvttps_epi32(fx), _mm256_set1_epi32(127));
-    let pow2n = _mm256_castsi256_ps(_mm256_slli_epi32(n, 23));
-    _mm256_mul_ps(y, pow2n)
-}
-
-// safety: same AVX2-availability contract as `micro_kernel`.
-#[target_feature(enable = "avx2")]
-unsafe fn exp_sub_sum(x: &[f32], m: f32, out: &mut [f32]) -> f32 {
-    debug_assert_eq!(x.len(), out.len());
-    let n = x.len();
-    let (xp, op) = (x.as_ptr(), out.as_mut_ptr());
-    let vm = _mm256_set1_ps(m);
-    let mut vsum = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= n {
-        let e = exp_ps(_mm256_sub_ps(_mm256_loadu_ps(xp.add(i)), vm));
-        _mm256_storeu_ps(op.add(i), e);
-        vsum = _mm256_add_ps(vsum, e);
-        i += 8;
-    }
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), vsum);
-    let mut sum = lanes.iter().sum::<f32>();
-    while i < n {
-        let e = (*xp.add(i) - m).exp();
-        *op.add(i) = e;
-        sum += e;
-        i += 1;
-    }
-    sum
-}
-
 impl SimdOps for Avx2Ops {
     fn name(&self) -> &'static str {
         if self.vnni {
@@ -524,15 +425,5 @@ impl SimdOps for Avx2Ops {
     fn bn_row(&self, x: &[f32], y: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f32) {
         // safety: Avx2Ops exists only on hosts where the AVX2 probe passed.
         unsafe { bn_row(x, y, mean, inv_std, g, b) }
-    }
-
-    fn max_f32(&self, x: &[f32]) -> f32 {
-        // safety: Avx2Ops exists only on hosts where the AVX2 probe passed.
-        unsafe { max_f32(x) }
-    }
-
-    fn exp_sub_sum(&self, x: &[f32], m: f32, out: &mut [f32]) -> f32 {
-        // safety: Avx2Ops exists only on hosts where the AVX2 probe passed.
-        unsafe { exp_sub_sum(x, m, out) }
     }
 }

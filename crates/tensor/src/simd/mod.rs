@@ -1,13 +1,15 @@
 //! Portable SIMD kernel layer: one trait, runtime-dispatched backends.
 //!
 //! Every hot kernel in the workspace — the `MR×NR` GEMM micro-kernel and
-//! its pack routines, the quantized integer GEMM's `INT_MR×INT_NR` tile, BN
-//! row passes and the softmax/exp tails — is expressed against [`SimdOps`]
-//! and resolved at runtime from a [`KernelMode`]:
+//! its pack routines, the quantized integer GEMM's `INT_MR×INT_NR` tile and
+//! the BN row pass — is expressed against [`SimdOps`] and resolved at
+//! runtime from a [`KernelMode`]. The mode chooses speed only, never a
+//! number: there is one determinism tier, and every backend gives the bits
+//! of the scalar one.
 //!
-//! * **`scalar`** — the original portable Rust loops, unchanged. This is
-//!   the *bitwise-pinned reference tier*: same seed ⇒ same logits on every
-//!   platform, forever. CI and the chaos harness re-verify it each run.
+//! * **`scalar`** — the portable Rust loops. Each kernel here is the
+//!   expression the other backends replay; `scalar` is the oracle the
+//!   differential suites check every other backend against.
 //! * **`native`** — the best backend the host exposes: on `x86_64`,
 //!   `avx2-vnni` when `is_x86_feature_detected!` finds both AVX2 and
 //!   AVX-VNNI, `avx2` when it finds AVX2 alone, scalar everywhere else (the
@@ -15,20 +17,22 @@
 //!   one type whose `f32` kernels are shared; they differ only in the
 //!   integer tile's body (`vpdpbusd` against `vpmaddwd`). The integer tile
 //!   accumulates exactly in `i32` and dequantizes in the scalar
-//!   expression's operation order, so its results are **bitwise
-//!   identical** to scalar on every arch. `f32` kernels fall in two tiers:
-//!   the micro-kernel/BN/pack paths replay the scalar rounding sequence
-//!   exactly (multiply then add per lane, no FMA, no reassociation —
-//!   bitwise tier), while transcendental tails
-//!   (vectorized `exp`) are only ULP-bounded against scalar (tolerance
-//!   tier). The differential suite in `crates/tensor/tests` enforces both
-//!   tiers on every backend [`available`] lists, so a host with VNNI also
-//!   runs the plain-AVX2 tile it would never dispatch to.
+//!   expression's operation order; the `f32` micro-kernel, BN and pack
+//!   paths replay the scalar rounding sequence exactly (multiply then add
+//!   per lane, no FMA, no reassociation). The differential suite in
+//!   `crates/tensor/tests` checks every kernel bitwise on every backend
+//!   [`available`] lists, so a host with VNNI also runs the plain-AVX2 tile
+//!   it would never dispatch to.
+//!
+//! Nothing transcendental is dispatched: both softmax forms
+//! ([`crate::softmax_rows`], [`crate::log_softmax_rows`]) are scalar loops
+//! over libm's `f32::exp` (`expf`), which is the one numeric dependency on
+//! the host left.
 //!
 //! The mode travels with the [`crate::Workspace`] each kernel already
-//! receives (`EngineConfig` → `ServerConfig` → `tia-served --kernel`);
-//! free-standing entry points use the process-wide [`KernelMode::global_default`],
-//! which reads `TIA_KERNEL=scalar|native` once (default: `native`).
+//! receives (`EngineConfig::kernel`); [`KernelMode::global_default`] reads
+//! `TIA_KERNEL=scalar|native` once (default: `native`) for whoever builds a
+//! workspace without naming a mode.
 //!
 //! Adding an arch = one file implementing [`SimdOps`] + its entries in
 //! [`available`]; the differential suite picks it up automatically.
@@ -136,10 +140,9 @@ fn check_int_tile(
 
 /// One SIMD backend: the complete set of dispatched micro-kernels.
 ///
-/// Implementations must follow the determinism tiers documented at the
-/// module level: the integer tile and the f32 micro-kernel/BN/pack kernels
-/// must be bitwise identical to [`SCALAR`]'s results; `exp_sub_sum` may
-/// differ from scalar by a small ULP bound.
+/// Every kernel of an implementation must give [`SCALAR`]'s results bit for
+/// bit, on every input the kernel's contract admits: a backend is a speed
+/// choice, never a numeric one.
 pub trait SimdOps: Sync {
     /// Stable identifier of the backend (`"scalar"`, `"avx2"`,
     /// `"avx2-vnni"`).
@@ -148,7 +151,7 @@ pub trait SimdOps: Sync {
     /// The register-blocked GEMM inner kernel:
     /// `acc[i][j] += Σ_p ap[p*MR + i] · bp[p*NR + j]`, accumulated in
     /// increasing-`p` order with one multiply and one add per term —
-    /// the exact scalar rounding sequence (bitwise tier).
+    /// the exact scalar rounding sequence.
     fn micro_kernel_f32(&self, kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]);
 
     /// Contiguous row copy used by the GEMM pack routines' fast paths
@@ -197,23 +200,16 @@ pub trait SimdOps: Sync {
     );
 
     /// One batch-norm inference row: `y[j] = g·((x[j] − mean)·inv_std) + b`
-    /// with exactly that operation order per element (bitwise tier).
+    /// with exactly that operation order per element.
     fn bn_row(&self, x: &[f32], y: &mut [f32], mean: f32, inv_std: f32, g: f32, b: f32);
-
-    /// Maximum element (`NEG_INFINITY` for an empty slice). `max` is exact,
-    /// so every association gives the same result on NaN-free input.
-    fn max_f32(&self, x: &[f32]) -> f32;
-
-    /// The softmax tail: `out[j] = exp(x[j] − m)`, returning `Σ out[j]`.
-    /// The only tolerance-tier kernel: vectorized backends may use a
-    /// polynomial `exp` and a reassociated sum, ULP-bounded against scalar.
-    fn exp_sub_sum(&self, x: &[f32], m: f32, out: &mut [f32]) -> f32;
 }
 
-/// Which kernel tier a workspace dispatches to.
+/// Which backend a workspace dispatches to: a speed choice only. Both modes
+/// compute the same function bit for bit, so a network serves, trains and
+/// is attacked identically under either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// The pinned scalar reference: bitwise-reproducible everywhere.
+    /// The portable scalar loops: the reference every backend reproduces.
     Scalar,
     /// Runtime-detected best backend for the host (falls back to scalar).
     #[default]
@@ -221,8 +217,8 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// Parses a mode name as accepted by `TIA_KERNEL` / `--kernel`.
-    pub fn parse(s: &str) -> Option<Self> {
+    /// Parses a mode name as accepted by `TIA_KERNEL`.
+    fn parse(s: &str) -> Option<Self> {
         match s {
             "scalar" => Some(Self::Scalar),
             "native" => Some(Self::Native),
@@ -236,15 +232,14 @@ impl KernelMode {
     /// # Panics
     ///
     /// Panics on an unrecognized `TIA_KERNEL` value — a misspelled mode
-    /// silently falling back to `native` would void the determinism
-    /// contract the caller asked for, so the failure is loud and at
-    /// startup.
+    /// silently falling back to `native` would run a different backend from
+    /// the one the caller asked for, so the failure is loud and at startup.
     pub fn global_default() -> Self {
         static MODE: OnceLock<KernelMode> = OnceLock::new();
         *MODE.get_or_init(|| match std::env::var("TIA_KERNEL") {
             Err(_) => Self::Native,
             Ok(s) => Self::parse(&s).unwrap_or_else(|| {
-                // tia-lint: allow(panic-freedom, startup config error — a typo silently falling back to native would void the requested determinism tier)
+                // tia-lint: allow(panic-freedom, startup config error — a typo silently falling back to native would run a backend nobody asked for)
                 panic!("TIA_KERNEL must be \"scalar\" or \"native\", got {s:?}")
             }),
         })
@@ -260,10 +255,10 @@ impl std::fmt::Display for KernelMode {
     }
 }
 
-/// The pinned scalar reference backend.
+/// The scalar backend, the reference every other backend reproduces.
 pub static SCALAR: scalar::ScalarOps = scalar::ScalarOps;
 
-/// Resolves a mode to its backend. `Scalar` always returns the pinned
+/// Resolves a mode to its backend. `Scalar` always returns the scalar
 /// reference; `Native` returns [`detect`]'s choice for this host.
 pub fn backend(mode: KernelMode) -> &'static dyn SimdOps {
     match mode {
@@ -292,8 +287,8 @@ pub fn available() -> Vec<&'static dyn SimdOps> {
     found
 }
 
-/// The name of the backend `Native` dispatches to on this host — logged by
-/// `tia-served` at startup and recorded in bench metadata.
+/// The name of the backend `Native` dispatches to on this host — recorded
+/// in bench metadata.
 pub fn detect_name() -> &'static str {
     detect().name()
 }

@@ -1,13 +1,13 @@
-//! The pinned scalar reference backend.
+//! The scalar backend: the reference every other backend reproduces.
 //!
-//! These are the workspace's original portable loops, moved verbatim behind
-//! [`SimdOps`]: every dispatched backend is verified against this one (see
-//! the determinism tiers in the module docs), and `TIA_KERNEL=scalar`
-//! routes all serving through it unchanged.
+//! These are the workspace's portable loops behind [`SimdOps`]: each kernel
+//! here *is* the expression every other backend must reproduce bit for bit
+//! (see the module docs), and `TIA_KERNEL=scalar` routes every forward
+//! through them. Only the speed differs from `native`.
 
 use super::{check_int_tile, int_panel_index, IntCols, IntRow, SimdOps, INT_MR, INT_NR, MR, NR};
 
-/// The always-available, bitwise-pinned reference implementation.
+/// The always-available reference implementation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScalarOps;
 
@@ -63,20 +63,6 @@ impl SimdOps for ScalarOps {
         for (o, &xv) in y.iter_mut().zip(x) {
             *o = g * ((xv - mean) * inv_std) + b;
         }
-    }
-
-    fn max_f32(&self, x: &[f32]) -> f32 {
-        x.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    fn exp_sub_sum(&self, x: &[f32], m: f32, out: &mut [f32]) -> f32 {
-        let mut denom = 0.0;
-        for (o, &v) in out.iter_mut().zip(x) {
-            let e = (v - m).exp();
-            *o = e;
-            denom += e;
-        }
-        denom
     }
     // tia-lint: hot-path(end)
 }
@@ -220,16 +206,5 @@ mod tests {
         for (o, xv) in y.iter().zip(x) {
             assert_eq!(*o, 1.5 * ((xv - 0.25) * 2.0) + -0.5);
         }
-    }
-
-    #[test]
-    fn exp_sub_sum_is_softmax_numerator() {
-        let x = [0.0f32, 1.0, -1.0];
-        let mut out = [0.0f32; 3];
-        let denom = ScalarOps.exp_sub_sum(&x, 1.0, &mut out);
-        assert_eq!(out[1], 1.0);
-        assert!((denom - (out[0] + out[1] + out[2])).abs() < 1e-6);
-        assert_eq!(ScalarOps.max_f32(&x), 1.0);
-        assert_eq!(ScalarOps.max_f32(&[]), f32::NEG_INFINITY);
     }
 }

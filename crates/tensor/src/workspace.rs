@@ -23,7 +23,8 @@
 //! The workspace also carries the session's [`KernelMode`]: every GEMM and
 //! row-pass kernel that receives a workspace resolves its SIMD backend from
 //! it, so one flag threaded through `EngineConfig` switches the whole layer
-//! stack between the pinned scalar reference and native dispatch.
+//! stack between the portable scalar loops and native dispatch — a speed
+//! choice, with the same bits either way.
 
 use crate::buf::{AlignedBuf, AlignedBytes, AlignedInts, Elem};
 use crate::simd::KernelMode;

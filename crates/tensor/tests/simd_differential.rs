@@ -2,10 +2,9 @@
 //! reference, kernel by kernel, across odd shapes straddling each vector
 //! width and blocking boundary.
 //!
-//! Contract (see `tia_tensor::simd`): integer kernels and the f32
-//! micro-kernel/pack/BN kernels must be **bitwise** equal to scalar on every
-//! backend; only the transcendental tail (`exp_sub_sum`) is tolerance-tier,
-//! bounded in ULPs.
+//! Contract (see `tia_tensor::simd`): every dispatched kernel — the integer
+//! tile and the f32 micro-kernel/pack/BN kernels — must be **bitwise** equal
+//! to scalar on every backend.
 
 use std::io::Write;
 use std::sync::Once;
@@ -28,15 +27,6 @@ fn backends() -> Vec<&'static dyn SimdOps> {
         writeln!(std::io::stderr(), "simd_differential backends: {names:?}").ok();
     });
     all
-}
-
-fn ulp_distance(a: f32, b: f32) -> u32 {
-    // Monotone map of finite floats onto a signed integer line.
-    fn key(x: f32) -> i64 {
-        let bits = x.to_bits() as i32;
-        (if bits < 0 { i32::MIN - bits } else { bits }) as i64
-    }
-    (key(a) - key(b)).unsigned_abs() as u32
 }
 
 /// Lengths that straddle the 8/16/32-lane widths and leave ragged tails.
@@ -384,50 +374,6 @@ fn bn_row_is_bitwise_equal_across_backends() {
 }
 
 #[test]
-fn max_is_exact_and_exp_is_ulp_bounded() {
-    let mut rng = SeededRng::new(105);
-    for &n in LENS {
-        // Post-max softmax inputs: x - m lands in [-80, 0].
-        let x: Vec<f32> = (0..n).map(|_| -(rng.below(8000) as f32) / 100.0).collect();
-        let m = 0.0f32;
-        let mut want = vec![0.0f32; n];
-        let want_denom = simd::SCALAR.exp_sub_sum(&x, m, &mut want);
-        for ops in backends() {
-            assert_eq!(
-                ops.max_f32(&x).to_bits(),
-                simd::SCALAR.max_f32(&x).to_bits(),
-                "{}: max n={}",
-                ops.name(),
-                n
-            );
-            let mut out = vec![0.0f32; n];
-            let denom = ops.exp_sub_sum(&x, m, &mut out);
-            for (i, (got, want)) in out.iter().zip(&want).enumerate() {
-                assert!(
-                    ulp_distance(*got, *want) <= 8,
-                    "{}: exp n={} elem {}: {} vs {} ({} ulp)",
-                    ops.name(),
-                    n,
-                    i,
-                    got,
-                    want,
-                    ulp_distance(*got, *want)
-                );
-            }
-            let rel = (denom - want_denom).abs() / want_denom.max(f32::MIN_POSITIVE);
-            assert!(
-                rel <= 1e-5 * (n as f32).sqrt().max(1.0),
-                "{}: denom n={}: {} vs {}",
-                ops.name(),
-                n,
-                denom,
-                want_denom
-            );
-        }
-    }
-}
-
-#[test]
 fn full_gemm_is_bitwise_equal_native_vs_scalar() {
     // The end-to-end check the engine's determinism rests on: an entire
     // blocked GEMM through the native workspace reproduces the scalar
@@ -462,9 +408,9 @@ fn full_gemm_is_bitwise_equal_native_vs_scalar() {
 }
 
 #[test]
-fn softmax_rows_native_within_tolerance_of_reference() {
-    // softmax_rows dispatches via the process default; rather than fight
-    // env ordering, compare directly against a hand-rolled scalar softmax.
+fn softmax_rows_is_bitwise_the_scalar_expression() {
+    // softmax_rows dispatches nothing, so it must be this hand-written
+    // expression bit for bit under any `TIA_KERNEL`.
     let mut rng = SeededRng::new(107);
     let (n, c) = (5, 37);
     let x = Tensor::rand_uniform(&[n, c], -10.0, 10.0, &mut rng);
@@ -476,8 +422,9 @@ fn softmax_rows_native_within_tolerance_of_reference() {
         let denom: f32 = exps.iter().sum();
         for (j, e) in exps.iter().enumerate() {
             let want = e / denom;
-            assert!(
-                (s.at2(i, j) - want).abs() <= 1e-5,
+            assert_eq!(
+                s.at2(i, j).to_bits(),
+                want.to_bits(),
                 "row {} col {}: {} vs {}",
                 i,
                 j,

@@ -141,10 +141,18 @@ fn levels_equal_round_then_clamp_through_the_public_quantizer() {
 
 #[test]
 fn integer_conv_forward_equals_reference_lowering_and_per_sample() {
+    // `Infer` takes the integer path under either kernel mode, so both run
+    // the same seeded cases.
+    for kernel in [KernelMode::Scalar, KernelMode::Native] {
+        integer_conv_cases(kernel);
+    }
+}
+
+fn integer_conv_cases(kernel: KernelMode) {
     let mut rng = SeededRng::new(0xC0DE);
     let mut ws = Workspace::new();
-    ws.set_kernel(KernelMode::Native);
-    let ops = simd::backend(KernelMode::Native);
+    ws.set_kernel(kernel);
+    let ops = simd::backend(kernel);
     for case in 0..40 {
         // Past the sub-byte crossover (96), so 2..=8 bits all go integer.
         let Case { geo, h, w } = draw_case(&mut rng, 96);
@@ -199,7 +207,7 @@ fn integer_conv_forward_equals_reference_lowering_and_per_sample() {
                         assert_eq!(
                             got[ki * ohw + s].to_bits(),
                             o[s * k + ki].to_bits(),
-                            "case {case} {geo:?} {h}x{w} bits={bits}: image {ni} out ({ki},{s})"
+                            "{kernel} case {case} {geo:?} {h}x{w} bits={bits}: image {ni} out ({ki},{s})"
                         );
                     }
                 }
@@ -213,7 +221,7 @@ fn integer_conv_forward_equals_reference_lowering_and_per_sample() {
                         .iter()
                         .zip(got)
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "case {case} bits={bits}: image {ni} batched != per-sample"
+                    "{kernel} case {case} bits={bits}: image {ni} batched != per-sample"
                 );
                 ws.recycle_tensor(single);
             }
