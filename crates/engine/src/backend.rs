@@ -134,10 +134,11 @@ impl Backend for Network {
     fn infer_batch(&mut self, x: &Tensor, precision: Option<Precision>) -> Tensor {
         Network::set_precision(self, precision);
         // Serving mode: layers skip every backward cache and recycle all
-        // intermediates — the zero-allocation steady state. Under the
-        // `scalar` kernel mode this is numerically identical to Eval;
-        // under `native`, quantized layers take the true-integer path
-        // (a different, still per-sample-deterministic numeric).
+        // intermediates — the zero-allocation steady state. Quantized
+        // layers at 2–8 bits past the crossover depth take the
+        // true-integer path (a different, still per-sample-deterministic
+        // numeric than Eval); which path runs depends on the mode and the
+        // depth, never on the kernel mode.
         self.forward(x, Mode::Infer)
     }
 

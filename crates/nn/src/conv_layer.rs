@@ -32,8 +32,8 @@ use tia_tensor::{
 /// is invalidated whenever [`Layer::visit_params`] exposes the weights for
 /// mutation. All scratch comes from the caller's [`Workspace`].
 ///
-/// On the integer serving path (`Mode::Infer` under native kernels, past
-/// the crossover depth) the same batching holds with a channel-last
+/// On the integer serving path (`Mode::Infer` at 2–8 bits past the
+/// crossover depth, whatever the kernel mode) the same batching holds with a channel-last
 /// lowering: each image becomes an `[H, W, C]` level image, its patch rows
 /// are built in `(ki, kj, ci)` order (one contiguous copy per kernel row)
 /// against weight rows memoized in the matching `[K, KH·KW·C]` order, and
@@ -205,6 +205,11 @@ impl Layer for Conv2d {
 
     fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.shape().len(), 4, "Conv2d expects NCHW input");
+        assert_eq!(
+            x.shape()[1],
+            self.geo.in_channels,
+            "Conv2d channel mismatch"
+        );
         let depth = self.geo.in_channels * self.geo.kernel_h * self.geo.kernel_w;
         if let Some(p) = integer_path(mode, self.precision, depth) {
             return self.forward_int(x, p, ws);

@@ -1,5 +1,6 @@
-//! Per-precision quantized + prepacked weight memoization, shared by the
-//! quantization-aware layers ([`crate::Conv2d`], [`crate::Linear`]).
+//! Per-precision quantized + prepacked weight memoization of the
+//! quantization-aware [`crate::Conv2d`] (and so of [`crate::Linear`], a 1×1
+//! `Conv2d`).
 //!
 //! The memo is what makes the paper's random precision switch ~free at
 //! serving time: the first forward at a precision quantizes the fp32

@@ -202,12 +202,12 @@ pub fn quantize_affine_levels_hwc(
 /// b-bit values with one scale per row, prepacked for the integer tile.
 ///
 /// Each row is one output feature's reduction operand, in the feature
-/// order of the activation rows it is multiplied against: `[out_features,
-/// in_features]` for linear, `[k, kh·kw·c]` (channels innermost, matching
-/// [`tia_tensor::im2col_levels_rows`]) for conv. Scales, row sums and every
-/// `i32` sum are invariant under a permutation of a row's features, which
-/// is why the conv layer is free to pick the order that makes its patch rows
-/// cheap to build.
+/// order of the activation rows it is multiplied against: `[k, kh·kw·c]`
+/// (channels innermost, matching [`tia_tensor::im2col_levels_rows`]) for
+/// conv, which at 1×1 is the linear layer's `[out_features,
+/// in_features]`. Scales, row sums and every `i32` sum are invariant under
+/// a permutation of a row's features, which is why the conv layer is free
+/// to pick the order that makes its patch rows cheap to build.
 ///
 /// Storage is `ceil(rows / INT_NR)` panels of [`INT_NR`] rows each, every
 /// panel laid out by [`int_panel_index`]: one byte per weight at every
@@ -380,12 +380,13 @@ pub fn gemm_quant(
 /// quantized weight rows, each dequantized sum stored where `strides` says.
 ///
 /// `a_scales`/`a_zps` hold one affine grid per *group* of consecutive
-/// activation rows (`m` must be a multiple of their length): linear layers
-/// pass one grid per sample row, conv layers one grid per image covering all
-/// its `oh·ow` patch rows — and [`OutStrides::planes`], so the tile
-/// writes NCHW directly. The dequantization expression is the scalar
-/// backend's, which every backend replays bit for bit (see
-/// [`SimdOps::int_tile`]), so every layer and every backend agrees on it.
+/// activation rows (`m` must be a multiple of their length): the conv
+/// layer passes one grid per image covering all its `oh·ow` patch rows —
+/// and [`OutStrides::planes`], so the tile writes NCHW directly (at 1×1, a
+/// linear layer, that is one row per image written row-major). The
+/// dequantization expression is the scalar backend's, which every backend
+/// replays bit for bit (see [`SimdOps::int_tile`]), so every layer and
+/// every backend agrees on it.
 ///
 /// Tiling: the driver walks the activation rows in blocks of [`INT_MR`],
 /// tracking each row's group and output offset as it goes, and makes one

@@ -28,7 +28,7 @@ pub fn fake_quant_symmetric(x: &Tensor, precision: Precision) -> Tensor {
 /// Allocation-free core of [`fake_quant_symmetric`]: quantizes `src` into
 /// `dst` with per-slice calibration, returning the grid step used (0 for an
 /// all-zero input, which passes through unchanged). Hot paths (memoized
-/// weight quantization in `tia_nn::Conv2d`/`Linear`) call this directly on
+/// weight quantization in `tia_nn::Conv2d`) call this directly on
 /// workspace buffers.
 ///
 /// # Panics
@@ -70,7 +70,8 @@ pub fn fake_quant_affine(x: &Tensor, precision: Precision) -> (Tensor, AffinePar
 
 /// Allocation-free core of [`fake_quant_affine`]: quantizes `src` into
 /// `dst` with per-slice calibration. Hot paths (per-row activation
-/// quantization in `tia_nn::Linear`) call this directly on sub-slices.
+/// quantization in `tia_nn::Conv2d`, one image at a time) call this
+/// directly on sub-slices.
 ///
 /// # Panics
 ///

@@ -1,9 +1,10 @@
 //! Blocked/tiled SGEMM kernels.
 //!
-//! These are the compute workhorses for convolution (via im2col) and linear
-//! layers. All three entry points (`C += A·B`, `C += Aᵀ·B`, `C += A·Bᵀ`)
-//! lower to one register-blocked micro-kernel over cache-sized packed
-//! panels, in the classic Goto/BLIS structure:
+//! These are the compute workhorses of the convolution layer (via im2col;
+//! a linear layer is a 1×1 convolution). All three entry points
+//! (`C += A·B`, `C += Aᵀ·B`, `C += A·Bᵀ`) lower to one register-blocked
+//! micro-kernel over cache-sized packed panels, in the classic Goto/BLIS
+//! structure:
 //!
 //! * the innermost micro-kernel computes an `MR x NR` block of `C` held in
 //!   registers, streaming through a packed depth-`kc` panel;
@@ -21,11 +22,11 @@
 //!
 //! Two hot-path amortisations sit on top of the kernel, both bit-exact:
 //!
-//! * [`PackedMatrix`] captures the packed panels of one operand as a
+//! * [`PackedMatrix`] captures the packed panels of the left operand as a
 //!   reusable artifact, so a weight matrix that multiplies every batch
-//!   (conv/linear forward) is packed **once** and the per-call work reduces
+//!   (the conv forward) is packed **once** and the per-call work reduces
 //!   to packing the activation operand. The stored panels are byte-for-byte
-//!   what `pack_a`/`pack_b` would produce, so the micro-kernel consumes
+//!   what `pack_a` would produce, so the micro-kernel consumes
 //!   identical operands in the identical order — results are bitwise equal
 //!   to the pack-every-call path.
 //! * every entry point has a `_ws` variant taking a
@@ -135,24 +136,15 @@ fn pack_b(ops: &dyn SimdOps, b: View, pc: usize, jc: usize, kc: usize, nc: usize
 }
 // tia-lint: hot-path(end)
 
-/// Which operand of the product a [`PackedMatrix`] stands in for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    /// The left operand `A` (`MR`-row strips, as `pack_a` lays out).
-    Lhs,
-    /// The right operand `B` (`NR`-column strips, as `pack_b` lays out).
-    Rhs,
-}
-
-/// One operand of the GEMM, prepacked into the exact cache-block panels the
-/// micro-kernel consumes.
+/// The left operand of the GEMM, prepacked into the exact cache-block
+/// panels the micro-kernel consumes.
 ///
 /// Packing a matrix costs one pass over its elements; in serving, the
-/// weight operand of every conv/linear product is identical batch after
-/// batch, so `Conv2d`/`Linear` memoize a `PackedMatrix` per precision and a
-/// random precision switch costs a lookup instead of a re-pack. The stored
-/// panels are byte-identical to what the per-call packers produce, making
-/// prepacked products bitwise equal to plain [`gemm`]/[`matmul_a_bt_ws`].
+/// weight operand of every conv product is identical batch after batch, so
+/// `Conv2d` memoizes a `PackedMatrix` per precision and a random precision
+/// switch costs a lookup instead of a re-pack. The stored panels are
+/// byte-identical to what the per-call packer produces, making prepacked
+/// products bitwise equal to plain [`gemm`].
 ///
 /// # Example
 ///
@@ -171,91 +163,54 @@ enum Side {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedMatrix {
-    side: Side,
-    /// Logical row count (`m` for an Lhs, `k` for an Rhs).
+    /// Logical row count `m`.
     rows: usize,
-    /// Logical column count (`k` for an Lhs, `n` for an Rhs).
+    /// Logical column count (the depth `k`).
     cols: usize,
-    /// All panels, concatenated in `(outer block, inner block)` order,
+    /// All panels, concatenated in `(depth block, m-block)` order,
     /// 64-byte aligned for split-free SIMD panel loads.
     data: AlignedBuf,
     /// Panel start offsets plus a trailing total, indexed
-    /// `outer_block * inner_blocks + inner_block`.
+    /// `depth_block * m_blocks + m_block`.
     offsets: Vec<usize>,
-    /// Inner block count (`m`-blocks for Lhs, `n`-blocks for Rhs).
-    inner_blocks: usize,
+    /// `m`-block count.
+    m_blocks: usize,
 }
 
 impl PackedMatrix {
     /// Packs the left operand `A` (`m x k`, row-major).
     pub fn pack_lhs(m: usize, k: usize, a: &[f32]) -> Self {
         debug_assert_eq!(a.len(), m * k);
-        Self::pack_side(
-            Side::Lhs,
-            m,
-            k,
-            View {
-                data: a,
-                ld: k,
-                layout: Layout::RowMajor,
-            },
-        )
-    }
-
-    /// Packs the right operand `B = Wᵀ` where `w` is stored `n x k`
-    /// row-major — the linear-layer weight layout (`[out, in]`), consumed as
-    /// the logical `k x n` right operand of `Y = X · Wᵀ` without
-    /// materialising the transpose.
-    pub fn pack_rhs_transposed(n: usize, k: usize, w: &[f32]) -> Self {
-        debug_assert_eq!(w.len(), n * k);
-        Self::pack_side(
-            Side::Rhs,
-            k,
-            n,
-            View {
-                data: w,
-                ld: k,
-                layout: Layout::Transposed,
-            },
-        )
-    }
-
-    fn pack_side(side: Side, rows: usize, cols: usize, view: View) -> Self {
-        // Blocking mirrors gemm_blocked exactly: outer blocks step the depth
-        // (k) by KC; inner blocks step m by MC (Lhs) or n by NC (Rhs).
-        let (k, span, inner_step, strip) = match side {
-            Side::Lhs => (cols, rows, MC, MR),
-            Side::Rhs => (rows, cols, NC, NR),
+        let view = View {
+            data: a,
+            ld: k,
+            layout: Layout::RowMajor,
         };
-        let inner_blocks = span.div_ceil(inner_step).max(1);
-        let outer_blocks = k.div_ceil(KC).max(1);
+        // Blocking mirrors gemm_blocked exactly: outer blocks step the depth
+        // by KC, inner blocks step m by MC.
+        let m_blocks = m.div_ceil(MC).max(1);
         let mut data = AlignedBuf::new();
-        let mut offsets = Vec::with_capacity(outer_blocks * inner_blocks + 1);
+        let mut offsets = Vec::with_capacity(k.div_ceil(KC).max(1) * m_blocks + 1);
         // Panels are byte-identical whichever backend packs them; the pinned
         // scalar reference keeps prepacking off the dispatch surface.
         let ops: &dyn SimdOps = &simd::SCALAR;
         for pc in (0..k.max(1)).step_by(KC) {
             let kc = KC.min(k - pc.min(k));
-            for iv in (0..span.max(1)).step_by(inner_step) {
-                let len_inner = inner_step.min(span - iv.min(span));
+            for ic in (0..m.max(1)).step_by(MC) {
+                let mc = MC.min(m - ic.min(m));
                 offsets.push(data.len());
-                let panel_len = len_inner.div_ceil(strip) * strip * kc;
                 let start = data.len();
-                data.resize(start + panel_len, 0.0);
-                match side {
-                    Side::Lhs => pack_a(ops, view, iv, pc, len_inner, kc, &mut data[start..]),
-                    Side::Rhs => pack_b(ops, view, pc, iv, kc, len_inner, &mut data[start..]),
-                }
+                data.resize(start + mc.div_ceil(MR) * MR * kc, 0.0);
+                pack_a(ops, view, ic, pc, mc, kc, &mut data[start..]);
             }
         }
         offsets.push(data.len());
         Self {
-            side,
-            rows,
-            cols,
+            rows: m,
+            cols: k,
             data,
             offsets,
-            inner_blocks,
+            m_blocks,
         }
     }
 
@@ -274,21 +229,19 @@ impl PackedMatrix {
         self.data.len()
     }
 
-    /// The packed panel for `(outer depth block, inner block)`.
-    fn panel(&self, outer: usize, inner: usize) -> &[f32] {
-        let i = outer * self.inner_blocks + inner;
+    /// The packed panel for `(depth block, m-block)`.
+    fn panel(&self, depth_block: usize, m_block: usize) -> &[f32] {
+        let i = depth_block * self.m_blocks + m_block;
         &self.data[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// `C += self · B` with `self` packed as the `m x k` left operand and
-    /// `b` the row-major `k x n` right operand.
+    /// `C += self · B` with `self` the packed `m x k` left operand and `b`
+    /// the row-major `k x n` right operand.
     ///
     /// # Panics
     ///
-    /// Panics if `self` was not packed as a left operand, or (in debug
-    /// builds) on slice-length mismatches.
+    /// Panics (in debug builds) on slice-length mismatches.
     pub fn gemm_lhs(&self, n: usize, b: &[f32], c: &mut [f32], ws: &mut Workspace) {
-        assert_eq!(self.side, Side::Lhs, "operand was not packed as Lhs");
         let (m, k) = (self.rows, self.cols);
         debug_assert_eq!(b.len(), k * n);
         debug_assert_eq!(c.len(), m * n);
@@ -297,38 +250,11 @@ impl PackedMatrix {
             k,
             n,
             Lhs::Packed(self),
-            Rhs::View(View {
+            View {
                 data: b,
                 ld: n,
                 layout: Layout::RowMajor,
-            }),
-            c,
-            ws,
-        );
-    }
-
-    /// `C += A · self` with `a` the row-major `m x k` left operand and
-    /// `self` packed as the `k x n` right operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` was not packed as a right operand, or (in debug
-    /// builds) on slice-length mismatches.
-    pub fn gemm_rhs(&self, m: usize, a: &[f32], c: &mut [f32], ws: &mut Workspace) {
-        assert_eq!(self.side, Side::Rhs, "operand was not packed as Rhs");
-        let (k, n) = (self.rows, self.cols);
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(c.len(), m * n);
-        gemm_blocked(
-            m,
-            k,
-            n,
-            Lhs::View(View {
-                data: a,
-                ld: k,
-                layout: Layout::RowMajor,
-            }),
-            Rhs::Packed(self),
+            },
             c,
             ws,
         );
@@ -342,18 +268,11 @@ enum Lhs<'a> {
     Packed(&'a PackedMatrix),
 }
 
-/// The right operand as the blocked loop consumes it.
-#[derive(Clone, Copy)]
-enum Rhs<'a> {
-    View(View<'a>),
-    Packed(&'a PackedMatrix),
-}
-
 /// `C += A · B` over logical `m x k` and `k x n` operands, tiled and packed.
-/// Pack scratch for non-prepacked operands comes from `ws` (returned when
-/// done), so steady-state callers allocate nothing.
+/// Pack scratch for `B` and a non-prepacked `A` comes from `ws` (returned
+/// when done), so steady-state callers allocate nothing.
 // tia-lint: hot-path(begin)
-fn gemm_blocked(m: usize, k: usize, n: usize, a: Lhs, b: Rhs, c: &mut [f32], ws: &mut Workspace) {
+fn gemm_blocked(m: usize, k: usize, n: usize, a: Lhs, b: View, c: &mut [f32], ws: &mut Workspace) {
     if m == 0 || k == 0 || n == 0 {
         return;
     }
@@ -362,28 +281,18 @@ fn gemm_blocked(m: usize, k: usize, n: usize, a: Lhs, b: Rhs, c: &mut [f32], ws:
     let ops = simd::backend(ws.kernel());
     // Scratch sized to the actual problem (capped at one cache block), so
     // the small GEMMs that dominate per-sample serving don't pay for the
-    // full-block allocation. Prepacked operands need no scratch at all.
+    // full-block allocation. A prepacked `A` needs no scratch at all.
     let (mb, kb, nb) = (m.min(MC), k.min(KC), n.min(NC));
     let mut ap_buf = match a {
         Lhs::View(_) => Some(ws.take_spare(mb.div_ceil(MR) * MR * kb)),
         Lhs::Packed(_) => None,
     };
-    let mut bp_buf = match b {
-        Rhs::View(_) => Some(ws.take_spare(nb.div_ceil(NR) * NR * kb)),
-        Rhs::Packed(_) => None,
-    };
-    for (jc_i, jc) in (0..n).step_by(NC).enumerate() {
+    let mut bp = ws.take_spare(nb.div_ceil(NR) * NR * kb);
+    for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for (pc_i, pc) in (0..k).step_by(KC).enumerate() {
             let kc = KC.min(k - pc);
-            let bp: &[f32] = match b {
-                Rhs::View(v) => {
-                    let buf = bp_buf.as_mut().expect("scratch present for B view");
-                    pack_b(ops, v, pc, jc, kc, nc, buf);
-                    buf
-                }
-                Rhs::Packed(p) => p.panel(pc_i, jc_i),
-            };
+            pack_b(ops, b, pc, jc, kc, nc, &mut bp);
             for (ic_i, ic) in (0..m).step_by(MC).enumerate() {
                 let mc = MC.min(m - ic);
                 let ap: &[f32] = match a {
@@ -417,9 +326,7 @@ fn gemm_blocked(m: usize, k: usize, n: usize, a: Lhs, b: Rhs, c: &mut [f32], ws:
     if let Some(buf) = ap_buf {
         ws.recycle(buf);
     }
-    if let Some(buf) = bp_buf {
-        ws.recycle(buf);
-    }
+    ws.recycle(bp);
 }
 // tia-lint: hot-path(end)
 
@@ -455,11 +362,11 @@ pub fn gemm_ws(
             ld: k,
             layout: Layout::RowMajor,
         }),
-        Rhs::View(View {
+        View {
             data: b,
             ld: n,
             layout: Layout::RowMajor,
-        }),
+        },
         c,
         ws,
     );
@@ -468,8 +375,8 @@ pub fn gemm_ws(
 /// `C += A^T * B` where `A` is `k x m`, `B` is `k x n`, `C` is `m x n`,
 /// with pack scratch drawn from (and returned to) `ws`.
 ///
-/// Used for weight gradients: `dW = dY^T * X` style products without
-/// materialising transposes.
+/// Used for the conv input gradient `dcols = Wᵀ · dY` without
+/// materialising the transpose of the weight matrix.
 pub fn matmul_at_b_ws(
     k: usize,
     m: usize,
@@ -491,11 +398,11 @@ pub fn matmul_at_b_ws(
             ld: m,
             layout: Layout::Transposed,
         }),
-        Rhs::View(View {
+        View {
             data: b,
             ld: n,
             layout: Layout::RowMajor,
-        }),
+        },
         c,
         ws,
     );
@@ -504,8 +411,8 @@ pub fn matmul_at_b_ws(
 /// `C += A * B^T` where `A` is `m x k`, `B` is `n x k`, `C` is `m x n`,
 /// with pack scratch drawn from (and returned to) `ws`.
 ///
-/// Used for linear-layer forward/input-gradient products (`Y = X * W^T`
-/// between row-major weight layouts) without materialising transposes.
+/// Used for the conv weight gradient `dW = dY · colsᵀ` without
+/// materialising the transpose of the column matrix.
 pub fn matmul_a_bt_ws(
     m: usize,
     k: usize,
@@ -527,11 +434,11 @@ pub fn matmul_a_bt_ws(
             ld: k,
             layout: Layout::RowMajor,
         }),
-        Rhs::View(View {
+        View {
             data: b,
             ld: k,
             layout: Layout::Transposed,
-        }),
+        },
         c,
         ws,
     );
@@ -720,30 +627,6 @@ mod tests {
             let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             assert_eq!(gb, wb, "prepacked lhs diverged at {}x{}x{}", m, k, n);
-        }
-    }
-
-    #[test]
-    fn prepacked_rhs_is_bitwise_identical_to_a_bt() {
-        let mut rng = SeededRng::new(12);
-        let mut ws = Workspace::new();
-        for (m, k, n) in [
-            (1usize, 1usize, 1usize),
-            (MR + 2, KC + 9, NR + 5),
-            (17, 2 * KC + 5, NC + 3),
-        ] {
-            let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
-            // Weight layout: n x k row-major, consumed as B = W^T.
-            let w: Vec<f32> = (0..n * k).map(|_| rng.normal()).collect();
-            let mut want = vec![0.0; m * n];
-            matmul_a_bt_ws(m, k, n, &a, &w, &mut want, &mut Workspace::new());
-            let packed = PackedMatrix::pack_rhs_transposed(n, k, &w);
-            assert_eq!((packed.rows(), packed.cols()), (k, n));
-            let mut got = vec![0.0; m * n];
-            packed.gemm_rhs(m, &a, &mut got, &mut ws);
-            let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(gb, wb, "prepacked rhs diverged at {}x{}x{}", m, k, n);
         }
     }
 

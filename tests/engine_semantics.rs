@@ -34,8 +34,9 @@ fn micro_batched_logits_bitwise_equal_per_sample_forward() {
         let x = Tensor::rand_uniform(&[n, 3, 8, 8], 0.0, 1.0, &mut rng);
         for &p in &precisions {
             // Reference: one serving-mode forward per sample (Infer is the
-            // path the engine runs — under the native kernel it takes the
-            // true-integer route, so Eval would not be bitwise-comparable).
+            // path the engine runs — past the crossover depth it takes the
+            // true-integer route under either kernel mode, so Eval would
+            // not be bitwise-comparable).
             let mut reference = Vec::with_capacity(n);
             for i in 0..n {
                 net.set_precision(p);

@@ -19,14 +19,16 @@
 //! on every backend the host can run.
 
 use std::io::Write;
-use two_in_one_accel::nn::{Conv2d, Layer};
+use two_in_one_accel::nn::{Conv2d, Layer, Linear};
 use two_in_one_accel::prelude::*;
 use two_in_one_accel::quant::{
-    gemm_quant, gemm_quant_strided, quantize_affine_levels, quantize_affine_levels_hwc, OutStrides,
-    QuantizedWeights,
+    fake_quant_affine_slice, fake_quant_symmetric_into, gemm_quant, gemm_quant_strided,
+    quantize_affine_levels, quantize_affine_levels_hwc, OutStrides, QuantizedWeights,
 };
 use two_in_one_accel::tensor::simd::{INT_MR, INT_NR};
-use two_in_one_accel::tensor::{im2col_levels_rows, simd, Conv2dGeometry, Workspace};
+use two_in_one_accel::tensor::{
+    im2col_levels_rows, matmul_a_bt_ws, simd, Conv2dGeometry, Workspace,
+};
 
 /// The reference lowering: `[C, H, W]` levels to rows in `(ci, ki, kj)`
 /// feature order, padded taps as `zero_point`.
@@ -226,6 +228,99 @@ fn integer_conv_cases(kernel: KernelMode) {
                 ws.recycle_tensor(single);
             }
             ws.recycle_tensor(batched);
+        }
+    }
+}
+
+#[test]
+fn linear_forward_equals_row_major_expressions_at_1x1() {
+    // `Linear` is a 1×1 `Conv2d` on `[N, F, 1, 1]`, a geometry `draw_case`
+    // never draws. The oracles are the row-major expressions a dedicated
+    // FC layer would compute: per-row level quantization and one
+    // `gemm_quant` over `[out, in]` weight rows past the crossover, per-row
+    // fake quantization and `X · Wqᵀ` plus bias below it.
+    for kernel in [KernelMode::Scalar, KernelMode::Native] {
+        linear_cases(kernel);
+    }
+}
+
+fn linear_cases(kernel: KernelMode) {
+    let mut rng = SeededRng::new(0x11AE);
+    let mut ws = Workspace::new();
+    ws.set_kernel(kernel);
+    let ops = simd::backend(kernel);
+    for f in [48, 64, 97, 128, 200] {
+        for k in [1, 3, 10, 17] {
+            for with_bias in [false, true] {
+                let mut lin = Linear::new(f, k, with_bias, &mut rng);
+                let (mut weights, mut bias) = (Vec::new(), None);
+                lin.visit_params(&mut |p| {
+                    if p.decay {
+                        weights = p.value.data().to_vec();
+                    } else {
+                        for b in p.value.data_mut() {
+                            *b = rng.normal();
+                        }
+                        bias = Some(p.value.data().to_vec());
+                    }
+                });
+                for n in 1..=4 {
+                    let x = Tensor::randn(&[n, f], 1.0, &mut rng);
+                    for bits in 2u8..=8 {
+                        let p = Precision::new(bits);
+                        lin.set_precision(Some(p));
+                        let got = lin.forward_ws(&x, Mode::Infer, &mut ws);
+                        assert_eq!(got.shape(), &[n, k]);
+                        // The crossover depths of `integer_path` in
+                        // crates/nn/src/pack_memo.rs.
+                        let integer = f >= if bits <= 4 { 96 } else { 48 };
+                        let mut want = vec![0.0f32; n * k];
+                        if integer {
+                            let wq = QuantizedWeights::quantize_rows(&weights, k, f, bits);
+                            let mut rows = vec![0u8; n * f];
+                            let (mut scales, mut zps) = (Vec::new(), Vec::new());
+                            for (src, dst) in x.data().chunks(f).zip(rows.chunks_mut(f)) {
+                                let lp = quantize_affine_levels(src, dst, p);
+                                scales.push(lp.scale);
+                                zps.push(lp.zero_point);
+                            }
+                            gemm_quant(
+                                ops,
+                                n,
+                                f,
+                                &rows,
+                                &scales,
+                                &zps,
+                                &wq,
+                                bias.as_deref(),
+                                &mut want,
+                            );
+                        } else {
+                            let mut xq = vec![0.0f32; n * f];
+                            for (src, dst) in x.data().chunks(f).zip(xq.chunks_mut(f)) {
+                                fake_quant_affine_slice(src, dst, p);
+                            }
+                            let mut wq = vec![0.0f32; k * f];
+                            fake_quant_symmetric_into(&weights, &mut wq, p);
+                            matmul_a_bt_ws(n, f, k, &xq, &wq, &mut want, &mut ws);
+                            if let Some(b) = &bias {
+                                for row in want.chunks_mut(k) {
+                                    for (o, bv) in row.iter_mut().zip(b) {
+                                        *o += bv;
+                                    }
+                                }
+                            }
+                        }
+                        let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+                        let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            got_bits, want_bits,
+                            "{kernel} f={f} k={k} bias={with_bias} n={n} bits={bits} integer={integer}"
+                        );
+                        ws.recycle_tensor(got);
+                    }
+                }
+            }
         }
     }
 }
