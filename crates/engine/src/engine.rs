@@ -267,7 +267,7 @@ pub struct Coordinator<X> {
     pub(crate) exec: X,
     policy: PrecisionPolicy,
     rng: SeededRng,
-    // Live degradation level applied to Adaptive policy draws; 0 = the
+    // Live degradation level applied to Random policy draws; 0 = the
     // full set. Set by the serving layer's feedback controller.
     degrade: u8,
     pending: Vec<Request>,
@@ -325,7 +325,7 @@ impl<X: Executor> Coordinator<X> {
         &self.policy
     }
 
-    /// The live degradation level applied to [`PrecisionPolicy::Adaptive`]
+    /// The live degradation level applied to [`PrecisionPolicy::Random`]
     /// draws (0 = the full set).
     pub fn degrade_level(&self) -> u8 {
         self.degrade
@@ -335,8 +335,8 @@ impl<X: Executor> Coordinator<X> {
     /// the policy's [`PrecisionPolicy::max_degrade_level`]. Level changes
     /// never shift the seeded stream position (every draw costs one step at
     /// any level), so the schedule stays a pure function of the seed, the
-    /// submission order and the level sequence. Non-adaptive policies
-    /// ignore the level.
+    /// submission order and the level sequence. A `Fixed` policy ignores
+    /// the level.
     pub fn set_degrade_level(&mut self, level: u8) {
         self.degrade = level.min(self.policy.max_degrade_level());
     }
@@ -383,10 +383,9 @@ impl<X: Executor> Coordinator<X> {
 
     /// Like [`Engine::try_submit`], but bounds the policy draw below by a
     /// per-request precision `floor` (an SLO guarantee: the request never
-    /// serves below it, however degraded the engine is). Only
-    /// [`PrecisionPolicy::Adaptive`] honors floors; other policies draw as
-    /// usual. The floored draw costs exactly one stream step, the same as
-    /// an unfloored one.
+    /// serves below it, however degraded the engine is). A `Fixed` policy
+    /// ignores the floor. The floored draw costs exactly one stream step,
+    /// the same as an unfloored one.
     pub fn try_submit_floored(
         &mut self,
         image: Tensor,
@@ -548,7 +547,6 @@ mod tests {
         make: &dyn Fn(PrecisionPolicy, EngineConfig) -> Coordinator<X>,
     ) {
         let random = || PrecisionPolicy::Random(set());
-        let adaptive = || PrecisionPolicy::Adaptive(set());
 
         // Responses come back in submission order, whatever the grouping;
         // the schedule is the seeded policy stream (so seeds matter) and the
@@ -592,7 +590,7 @@ mod tests {
 
         // Degrade levels shift the value a draw maps to, never the stream
         // position; floors hold however degraded the engine is.
-        let mut eng = make(adaptive(), cfg(9));
+        let mut eng = make(random(), cfg(9));
         eng.set_degrade_level(9); // clamps to the set's max useful level
         assert_eq!(eng.degrade_level(), 4);
         eng.submit(image()); // window {4}: the value is pinned, the draw still happens
@@ -603,7 +601,7 @@ mod tests {
         let got = schedule(&eng.flush());
         assert_eq!(got[0], Some(Precision::new(4)), "{surface}");
         assert!(got[1].unwrap().bits() >= 6, "{surface}: below the floor");
-        assert_eq!(got[2], stream(&adaptive(), 9, 3)[2], "{surface}");
+        assert_eq!(got[2], stream(&random(), 9, 3)[2], "{surface}");
 
         // Stats count requests, micro-batches and frames; cycles count
         // non-empty flushes.

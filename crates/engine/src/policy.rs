@@ -13,14 +13,12 @@ use tia_tensor::SeededRng;
 pub enum PrecisionPolicy {
     /// Always the same precision (`None` = full precision).
     Fixed(Option<Precision>),
-    /// RPS: a fresh uniform sample from the set per request.
+    /// RPS: a fresh uniform sample from the set per request. A feedback
+    /// controller may narrow the live window toward the low end under
+    /// overload (graceful degradation), bounded below by per-request
+    /// floors; at degradation level 0 with no floor the window is the
+    /// whole set. See [`PrecisionPolicy::sample_degraded`].
     Random(PrecisionSet),
-    /// RPS whose live range a feedback controller may narrow toward the
-    /// low end under overload (graceful degradation), bounded below by
-    /// per-request floors. At degradation level 0 with no floor this is
-    /// exactly [`PrecisionPolicy::Random`]; see
-    /// [`PrecisionPolicy::sample_degraded`].
-    Adaptive(PrecisionSet),
 }
 
 impl PrecisionPolicy {
@@ -33,18 +31,16 @@ impl PrecisionPolicy {
     /// Draws one precision under a live degradation `level` and an
     /// optional per-request `floor`.
     ///
-    /// `Fixed` stays pinned and consumes no draw. `Random` is the static
-    /// RPS mix — it ignores level and floor but still consumes exactly one
-    /// draw. `Adaptive` samples uniformly from the degraded window of its
-    /// set: members at or above the floor with the `level` highest
-    /// dropped, always keeping at least one (see
-    /// [`PrecisionSet::degraded_window`]).
+    /// `Fixed` stays pinned and consumes no draw. `Random` samples
+    /// uniformly from the degraded window of its set: members at or above
+    /// the floor with the `level` highest dropped, always keeping at least
+    /// one (see [`PrecisionSet::degraded_window`]).
     ///
-    /// Every sampling variant consumes exactly one draw regardless of
-    /// level or floor, so a controller shifting the level mid-stream never
-    /// moves the seeded stream position — only the value the same draw
-    /// maps to. This is what keeps adaptive serving's schedule a pure
-    /// function of the seed and the submission order.
+    /// A `Random` sample costs exactly one draw regardless of level or
+    /// floor, so a controller shifting the level mid-stream never moves
+    /// the seeded stream position — only the value the same draw maps to.
+    /// This is what keeps adaptive serving's schedule a pure function of
+    /// the seed and the submission order.
     pub fn sample_degraded(
         &self,
         rng: &mut SeededRng,
@@ -53,21 +49,19 @@ impl PrecisionPolicy {
     ) -> Option<Precision> {
         match self {
             PrecisionPolicy::Fixed(p) => *p,
-            PrecisionPolicy::Random(set) => Some(set.sample(rng)),
-            PrecisionPolicy::Adaptive(set) => {
-                let window = set.degraded_window(level as usize, floor);
-                Some(set.sample_window(rng, window))
+            PrecisionPolicy::Random(set) => {
+                Some(set.sample_window(rng, set.degraded_window(level as usize, floor)))
             }
         }
     }
 
     /// The highest degradation level that still changes the sampled
-    /// window: one less than the adaptive set's size (0 for non-adaptive
-    /// policies, which never degrade).
+    /// window: one less than the `Random` set's size (0 for `Fixed`, which
+    /// never degrades).
     pub fn max_degrade_level(&self) -> u8 {
         match self {
-            PrecisionPolicy::Adaptive(set) => (set.len() - 1).min(u8::MAX as usize) as u8,
-            _ => 0,
+            PrecisionPolicy::Fixed(_) => 0,
+            PrecisionPolicy::Random(set) => (set.len() - 1).min(u8::MAX as usize) as u8,
         }
     }
 }
@@ -78,7 +72,6 @@ impl std::fmt::Display for PrecisionPolicy {
             PrecisionPolicy::Fixed(None) => write!(f, "fp32"),
             PrecisionPolicy::Fixed(Some(p)) => write!(f, "{}", p),
             PrecisionPolicy::Random(set) => write!(f, "RPS {}", set),
-            PrecisionPolicy::Adaptive(set) => write!(f, "adaptive RPS {}", set),
         }
     }
 }
@@ -107,22 +100,24 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_at_level_zero_matches_random() {
-        // Same seed, same draws: an undegraded adaptive policy is the
-        // static RPS mix, value for value.
-        let set = PrecisionSet::range(4, 8);
-        let random = PrecisionPolicy::Random(set.clone());
-        let adaptive = PrecisionPolicy::Adaptive(set);
-        let (mut ra, mut rb) = (SeededRng::new(5), SeededRng::new(5));
-        for _ in 0..32 {
-            assert_eq!(random.sample(&mut ra), adaptive.sample(&mut rb));
+    fn undegraded_random_is_the_plain_uniform_choice() {
+        // An unfloored draw at level 0 is `*rng.choose(&members)`, value for
+        // value, at every set size.
+        for hi in 4..=8 {
+            let set = PrecisionSet::range(4, hi);
+            let members: Vec<Precision> = set.iter().collect();
+            let p = PrecisionPolicy::Random(set);
+            let (mut ra, mut rb) = (SeededRng::new(5), SeededRng::new(5));
+            for _ in 0..64 {
+                assert_eq!(p.sample(&mut ra), Some(*rb.choose(&members)));
+            }
         }
     }
 
     #[test]
     fn degraded_sampling_respects_level_and_floor() {
         let set = PrecisionSet::range(4, 8);
-        let p = PrecisionPolicy::Adaptive(set);
+        let p = PrecisionPolicy::Random(set);
         let mut rng = SeededRng::new(6);
         for _ in 0..32 {
             // Level 3 keeps {4,5}; a 6-bit floor overrides to {6} alone.
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn degraded_sampling_consumes_one_draw_at_any_level() {
         let set = PrecisionSet::range(4, 8);
-        let p = PrecisionPolicy::Adaptive(set);
+        let p = PrecisionPolicy::Random(set);
         let next_after = |level, floor| {
             let mut rng = SeededRng::new(7);
             let _ = p.sample_degraded(&mut rng, level, floor);
@@ -149,6 +144,21 @@ mod tests {
         let base = next_after(0, None);
         assert_eq!(base, next_after(4, None));
         assert_eq!(base, next_after(2, Some(Precision::new(7))));
+    }
+
+    #[test]
+    fn fixed_ignores_level_and_floor_and_draws_nothing() {
+        let pin = Some(Precision::new(5));
+        let mut rng = SeededRng::new(8);
+        for p in [PrecisionPolicy::Fixed(pin), PrecisionPolicy::Fixed(None)] {
+            let want = p.sample(&mut rng);
+            assert_eq!(p.sample_degraded(&mut rng, 4, None), want);
+            assert_eq!(
+                p.sample_degraded(&mut rng, 0, Some(Precision::new(7))),
+                want
+            );
+        }
+        assert_eq!(rng.next_u64(), SeededRng::new(8).next_u64());
     }
 
     #[test]
@@ -161,10 +171,6 @@ mod tests {
         assert_eq!(
             PrecisionPolicy::Random(PrecisionSet::range(4, 8)).to_string(),
             "RPS 4~8-bit"
-        );
-        assert_eq!(
-            PrecisionPolicy::Adaptive(PrecisionSet::range(4, 8)).to_string(),
-            "adaptive RPS 4~8-bit"
         );
     }
 }

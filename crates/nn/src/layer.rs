@@ -9,11 +9,16 @@ use tia_tensor::{Tensor, Workspace};
 /// Note that adversarial example *generation* runs in `Eval` mode but still
 /// needs backward passes for input gradients; layers therefore cache
 /// backward state in `Train` *and* `Eval`. `Infer` is the serving engine's
-/// mode: numerically identical to `Eval` (frozen statistics), but layers
-/// skip every backward cache — no im2col column retention, no activation
-/// masks — so steady-state serving touches no training-only state and
-/// recycles every intermediate. Calling `backward` after an `Infer` forward
-/// panics.
+/// mode: frozen statistics like `Eval`, but layers skip every backward
+/// cache — no im2col column retention, no activation masks — so
+/// steady-state serving touches no training-only state and recycles every
+/// intermediate. Calling `backward` after an `Infer` forward panics.
+///
+/// `Infer` is not numerically `Eval`: a quantized layer at 2–8 bits whose
+/// reduction depth is past the crossover runs the true-integer GEMM in
+/// `Infer` and the f32 fake-quant path in `Eval`, and the two grids round
+/// differently (`pack_memo::integer_path` decides). Every other layer,
+/// precision and depth computes `Eval`'s values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Training: batch statistics, running-stat updates.
@@ -114,10 +119,12 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Visits every learnable parameter (used by optimizers and grad-zeroing).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 
-    /// Sets the execution precision: `Some(p)` fake-quantizes weights and
-    /// activations at `p` bits; `None` runs full precision. Layers without
-    /// quantized arithmetic ignore this, except switchable BN which selects
-    /// its per-precision statistics.
+    /// Sets the execution precision: `Some(p)` quantizes weights and
+    /// activations at `p` bits — f32 fake quantization, or the integer GEMM
+    /// where an `Infer` forward takes the integer path (see [`Mode`]);
+    /// `None` runs full precision. Layers without quantized arithmetic
+    /// ignore this, except switchable BN which selects its per-precision
+    /// statistics.
     fn set_precision(&mut self, _p: Option<Precision>) {}
 
     /// Zeroes all parameter gradients.

@@ -31,7 +31,6 @@
 mod act;
 mod bn;
 mod conv_layer;
-mod flatten;
 mod layer;
 mod linear;
 mod loss;
@@ -46,7 +45,6 @@ pub mod zoo;
 pub use act::ReLU;
 pub use bn::{BatchNorm2d, SwitchableBatchNorm};
 pub use conv_layer::Conv2d;
-pub use flatten::Flatten;
 pub use layer::{Layer, Mode, Param};
 pub use linear::Linear;
 pub use loss::{cross_entropy, cw_margin_loss, LossGrad};

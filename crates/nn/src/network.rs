@@ -163,13 +163,11 @@ impl Network {
 mod tests {
     use super::*;
     use crate::act::ReLU;
-    use crate::flatten::Flatten;
     use crate::linear::Linear;
     use tia_tensor::SeededRng;
 
     fn tiny_mlp(rng: &mut SeededRng) -> Network {
         let mut net = Network::new();
-        net.push(Box::new(Flatten::new()));
         net.push(Box::new(Linear::new(8, 16, true, rng)));
         net.push(Box::new(ReLU::new()));
         net.push(Box::new(Linear::new(16, 3, true, rng)));
@@ -180,7 +178,7 @@ mod tests {
     fn forward_shape_and_param_count() {
         let mut rng = SeededRng::new(1);
         let mut net = tiny_mlp(&mut rng);
-        let x = Tensor::randn(&[4, 2, 2, 2], 1.0, &mut rng);
+        let x = Tensor::randn(&[4, 8], 1.0, &mut rng);
         let y = net.forward(&x, Mode::Eval);
         assert_eq!(y.shape(), &[4, 3]);
         assert_eq!(net.param_count(), 8 * 16 + 16 + 16 * 3 + 3);
@@ -190,7 +188,7 @@ mod tests {
     fn training_reduces_loss() {
         let mut rng = SeededRng::new(2);
         let mut net = tiny_mlp(&mut rng);
-        let x = Tensor::randn(&[8, 2, 2, 2], 1.0, &mut rng);
+        let x = Tensor::randn(&[8, 8], 1.0, &mut rng);
         let labels: Vec<usize> = (0..8).map(|i| i % 3).collect();
         let (loss0, _) = net.loss_and_input_grad(&x, &labels, Mode::Train);
         // A few plain gradient-descent steps.
@@ -216,7 +214,7 @@ mod tests {
     fn input_grad_flows_to_input() {
         let mut rng = SeededRng::new(3);
         let mut net = tiny_mlp(&mut rng);
-        let x = Tensor::randn(&[2, 2, 2, 2], 1.0, &mut rng);
+        let x = Tensor::randn(&[2, 8], 1.0, &mut rng);
         let (_, gx) = net.loss_and_input_grad(&x, &[0, 1], Mode::Eval);
         assert_eq!(gx.shape(), x.shape());
         assert!(gx.norm() > 0.0, "input gradient must be non-zero");
@@ -226,7 +224,7 @@ mod tests {
     fn correct_count_bounds() {
         let mut rng = SeededRng::new(4);
         let mut net = tiny_mlp(&mut rng);
-        let x = Tensor::randn(&[5, 2, 2, 2], 1.0, &mut rng);
+        let x = Tensor::randn(&[5, 8], 1.0, &mut rng);
         let labels = vec![0, 1, 2, 0, 1];
         let c = net.correct_count(&x, &labels);
         assert!(c <= 5);

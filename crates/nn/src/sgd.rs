@@ -49,7 +49,6 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flatten::Flatten;
     use crate::layer::Mode;
     use crate::linear::Linear;
     use tia_tensor::{SeededRng, Tensor};
@@ -58,7 +57,6 @@ mod tests {
     fn sgd_trains_linear_classifier() {
         let mut rng = SeededRng::new(7);
         let mut net = Network::new();
-        net.push(Box::new(Flatten::new()));
         net.push(Box::new(Linear::new(4, 2, true, &mut rng)));
         // Two separable clusters.
         let mut xs = vec![];
@@ -68,11 +66,11 @@ mod tests {
             let base = if cls == 0 { 1.0 } else { -1.0 };
             xs.push(Tensor::from_vec(
                 (0..4).map(|_| base + 0.1 * rng.normal()).collect(),
-                &[1, 4, 1, 1],
+                &[1, 4],
             ));
             labels.push(cls);
         }
-        let x = Tensor::stack(&xs).reshape(&[16, 4, 1, 1]);
+        let x = Tensor::stack(&xs).reshape(&[16, 4]);
         let opt = Sgd::new(0.1);
         let (loss0, _) = net.loss_and_input_grad(&x, &labels, Mode::Train);
         net.zero_grad();
@@ -89,9 +87,8 @@ mod tests {
     fn step_zeroes_gradients() {
         let mut rng = SeededRng::new(8);
         let mut net = Network::new();
-        net.push(Box::new(Flatten::new()));
         net.push(Box::new(Linear::new(2, 2, false, &mut rng)));
-        let x = Tensor::ones(&[1, 2, 1, 1]);
+        let x = Tensor::ones(&[1, 2]);
         let _ = net.loss_and_input_grad(&x, &[0], Mode::Train);
         Sgd::new(0.01).step(&mut net);
         let mut g = 0.0;

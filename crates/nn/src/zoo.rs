@@ -14,7 +14,6 @@
 
 use crate::bn::{BatchNorm2d, SwitchableBatchNorm};
 use crate::conv_layer::Conv2d;
-use crate::flatten::Flatten;
 use crate::layer::Layer;
 use crate::linear::Linear;
 use crate::network::Network;
@@ -138,7 +137,6 @@ pub fn preact_resnet(cfg: &PreActResNetConfig, rng: &mut SeededRng) -> Network {
     net.push(bn(ch));
     net.push(Box::new(ReLU::new()));
     net.push(Box::new(GlobalAvgPool::new()));
-    net.push(Box::new(Flatten::new()));
     net.push(Box::new(Linear::new(ch, cfg.classes, true, rng)));
     net
 }
@@ -236,8 +234,8 @@ mod tests {
     fn resnet18_has_expected_block_count() {
         let mut rng = SeededRng::new(2);
         let net = preact_resnet18_lite(3, 4, 10, &mut rng);
-        // stem + 8 blocks + head(BN, ReLU, GAP, Flatten, Linear) = 14
-        assert_eq!(net.depth(), 14);
+        // stem + 8 blocks + head(BN, ReLU, GAP, Linear) = 13
+        assert_eq!(net.depth(), 13);
     }
 
     #[test]

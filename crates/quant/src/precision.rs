@@ -111,12 +111,13 @@ impl PrecisionSet {
         self.bits.iter().copied()
     }
 
-    /// Uniformly samples one precision (the RPS random switch).
+    /// Uniformly samples one precision (the RPS random switch): the
+    /// whole-set window of [`PrecisionSet::sample_window`].
     pub fn sample(&self, rng: &mut SeededRng) -> Precision {
-        *rng.choose(&self.bits)
+        self.sample_window(rng, (0, self.bits.len()))
     }
 
-    /// The live sub-range adaptive serving samples from at degradation
+    /// The live sub-range an RPS draw samples from at degradation
     /// `level` with an optional per-class `floor`: members at or above the
     /// floor, with the `level` *highest* dropped, always keeping at least
     /// one. Returned as `(start_index, count)` into the ascending member
@@ -134,10 +135,9 @@ impl PrecisionSet {
     }
 
     /// Uniformly samples one member of the ascending index window
-    /// `[start, start + count)`. Exactly one draw from `rng` — the same
-    /// stream cost as [`PrecisionSet::sample`] — so narrowing the window
-    /// never shifts the seeded stream position, only the value the draw
-    /// maps to.
+    /// `[start, start + count)`. Exactly one draw from `rng` at any
+    /// window, so narrowing the window never shifts the seeded stream
+    /// position, only the value the draw maps to.
     ///
     /// # Panics
     ///

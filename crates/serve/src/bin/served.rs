@@ -30,7 +30,8 @@
 //! pressure clears), bounded per class by the `--floor-*` flags — a
 //! floored class never serves below its floor. `--p99-budget-ms` sets the
 //! interactive class's windowed-p99 SLO budget as an additional pressure
-//! signal, and `--cooldown` the post-shift damping in engine cycles.
+//! signal, and `--cooldown` the post-shift damping in engine cycles. All
+//! five controller flags are refused without `--adaptive`.
 
 use tia_engine::EngineConfig;
 use tia_nn::zoo;
@@ -109,7 +110,13 @@ fn run() -> Result<(), String> {
         ctrl = ctrl.with_cooldown(cooldown);
         Some(ctrl)
     } else {
-        for flag in ["floor-interactive", "floor-normal", "floor-batch"] {
+        for flag in [
+            "floor-interactive",
+            "floor-normal",
+            "floor-batch",
+            "p99-budget-ms",
+            "cooldown",
+        ] {
             if args.get(flag).is_some() {
                 return Err(format!("--{flag} needs --adaptive"));
             }
@@ -121,9 +128,7 @@ fn run() -> Result<(), String> {
     // precision the policy can select; fp32 service still runs fine on an
     // RPS model (precision `None` bypasses quantization).
     let bn_set = match &policy {
-        tia_engine::PrecisionPolicy::Random(set) | tia_engine::PrecisionPolicy::Adaptive(set) => {
-            set.clone()
-        }
+        tia_engine::PrecisionPolicy::Random(set) => set.clone(),
         tia_engine::PrecisionPolicy::Fixed(Some(p)) => PrecisionSet::new(&[p.bits()]),
         tia_engine::PrecisionPolicy::Fixed(None) => PrecisionSet::range(4, 8),
     };

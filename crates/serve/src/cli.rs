@@ -99,9 +99,9 @@ pub fn parse_wire_policy(s: &str) -> Result<WirePolicy, String> {
     }
     Ok(match parse_policy(s)? {
         PrecisionPolicy::Fixed(p) => WirePolicy::Fixed(p),
-        // Adaptive degradation is a server-side serving decision; on the
-        // wire an explicit RPS set is just a random pin.
-        PrecisionPolicy::Random(set) | PrecisionPolicy::Adaptive(set) => WirePolicy::Random(set),
+        // Degradation is a server-side serving decision; on the wire an
+        // explicit RPS set is just a random pin.
+        PrecisionPolicy::Random(set) => WirePolicy::Random(set),
     })
 }
 

@@ -85,7 +85,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tia_engine::{Backend, EngineConfig, PrecisionPolicy, RequestId, ShardedEngine};
-use tia_quant::PrecisionSet;
 use tia_tensor::{SeededRng, Tensor};
 
 /// Deterministic fault injection for chaos testing, threaded through the
@@ -186,10 +185,10 @@ pub struct ServerConfig {
     /// boundary, degrading the RPS mix toward lower bit-widths under
     /// overload and recovering when pressure clears, with the configured
     /// per-class floors binding every [`WirePolicy::Server`] submission.
-    /// A [`PrecisionPolicy::Random`] serving policy is promoted to
-    /// [`PrecisionPolicy::Adaptive`] at spawn so the controller has a
-    /// window to narrow. `None` (the default) leaves the hot path
-    /// untouched.
+    /// The controller narrows a [`PrecisionPolicy::Random`] serving
+    /// policy's window; a `Fixed` policy has none to narrow. `None` (the
+    /// default) leaves the hot path untouched: the level stays 0 and no
+    /// floor is passed.
     pub control: Option<ControlConfig>,
     /// Enables the flight recorder (see [`crate::trace`]): every serving
     /// thread records per-request stage events into its own lock-free
@@ -511,14 +510,6 @@ impl<B: Backend + Send + 'static> Server<B> {
             ctrl.validate()
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         }
-        // With a controller armed, a static RPS mix becomes the adaptive
-        // window the controller narrows. The promotion is draw-for-draw
-        // identical at level 0, so enabling control never perturbs the
-        // unloaded schedule.
-        let policy = match (&cfg.control, cfg.policy.clone()) {
-            (Some(_), PrecisionPolicy::Random(set)) => PrecisionPolicy::Adaptive(set),
-            (_, p) => p,
-        };
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let metrics_listener = match &cfg.metrics_addr {
@@ -530,7 +521,7 @@ impl<B: Backend + Send + 'static> Server<B> {
         let engine = ShardedEngine::with_factory(
             cfg.workers.max(1),
             factory,
-            policy.clone(),
+            cfg.policy.clone(),
             cfg.engine.clone(),
         );
         let shared = Arc::new(Shared {
@@ -559,17 +550,10 @@ impl<B: Backend + Send + 'static> Server<B> {
         // the server schedule's draws.
         let req_rng = SeededRng::new(cfg.engine.seed ^ 0x5EED_5EED_5EED_5EED);
         let max_wait = cfg.max_wait;
-        let adaptive = cfg.control.clone().map(|ctrl| {
-            let set = match &policy {
-                PrecisionPolicy::Adaptive(set) => Some(set.clone()),
-                _ => None,
-            };
-            Adaptive {
-                ctrl: Controller::new(ctrl, policy.max_degrade_level()),
-                set,
-                baselines: std::array::from_fn(|i| shared.metrics.latency_by_class[i].baseline()),
-                sheds: 0,
-            }
+        let adaptive = cfg.control.clone().map(|ctrl| ControlLoop {
+            ctrl: Controller::new(ctrl, cfg.policy.max_degrade_level()),
+            baselines: std::array::from_fn(|i| shared.metrics.latency_by_class[i].baseline()),
+            sheds: 0,
         });
         let batcher = {
             let shared = Arc::clone(&shared);
@@ -991,15 +975,12 @@ fn reader_loop(
 }
 
 /// The adaptive-precision state the batcher thread owns when a controller
-/// is armed (see [`crate::control`]): the feedback state machine itself,
-/// the policy's member set (for floor-clamp accounting), and per-class
-/// histogram baselines that turn the cumulative latency histograms into
-/// the windowed p99 the controller's budgets compare against.
-struct Adaptive {
+/// is armed (see [`crate::control`]): the feedback state machine itself
+/// and per-class histogram baselines that turn the cumulative latency
+/// histograms into the windowed p99 the controller's budgets compare
+/// against.
+struct ControlLoop {
     ctrl: Controller,
-    /// The adaptive policy's members; `None` when the serving policy never
-    /// degrades (e.g. `Fixed`), in which case floors are vacuous.
-    set: Option<PrecisionSet>,
     /// Per-class snapshots taken at the previous controller step
     /// ([`Class::ALL`] wire order).
     baselines: [HistogramBaseline; 3],
@@ -1018,7 +999,7 @@ fn batcher_loop<B: Backend + Send + 'static>(
     mut req_rng: SeededRng,
     max_take: usize,
     max_wait: Duration,
-    mut adaptive: Option<Adaptive>,
+    mut adaptive: Option<ControlLoop>,
 ) -> ShardedEngine<B> {
     use std::sync::mpsc::RecvTimeoutError;
     let ring = shared
@@ -1278,7 +1259,7 @@ fn form_and_run<B: Backend + Send + 'static>(
     window: &mut Vec<PendingReq>,
     max_take: usize,
     book: &mut BatchBook,
-    adaptive: Option<&Adaptive>,
+    adaptive: Option<&ControlLoop>,
 ) -> (usize, usize) {
     // Induced slow-batcher window: stall before every n-th batch so the
     // queue backs up the way it would behind a genuinely slow engine.
@@ -1309,7 +1290,7 @@ fn form_and_run<B: Backend + Send + 'static>(
                 // A client that pinned its own precision has already chosen
                 // and bypasses both degradation and floors.
                 let floor = adaptive.and_then(|a| a.ctrl.config().floor_for(req.class));
-                if let (Some(set), Some(f)) = (adaptive.and_then(|a| a.set.as_ref()), floor) {
+                if let (PrecisionPolicy::Random(set), Some(f)) = (engine.policy(), floor) {
                     let level = engine.degrade_level() as usize;
                     // The floor "clamps" when it actually narrows the
                     // degraded window — i.e. it excludes members the bare
@@ -1389,7 +1370,7 @@ fn form_and_run<B: Backend + Send + 'static>(
 /// windowed per-class p99 since the last step), let the state machine
 /// decide, and apply any level shift to the engine and the metrics.
 fn step_adaptive<B: Backend + Send + 'static>(
-    a: &mut Adaptive,
+    a: &mut ControlLoop,
     engine: &mut ShardedEngine<B>,
     shared: &Shared,
     ring: Option<&Ring>,

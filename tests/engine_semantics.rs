@@ -370,7 +370,7 @@ macro_rules! random_burst {
     }};
 }
 
-/// An `Adaptive` burst through a fixed controller/SLO script: the level
+/// An adaptive burst through a fixed controller/SLO script: the level
 /// walks 0..=4 and back, submissions alternate floored / plain / pinned,
 /// a geometry-changing submission is rejected mid-stream, and one flush
 /// lands while degraded.
@@ -412,11 +412,10 @@ fn schedule_and_logits_match_the_pre_unification_fingerprints() {
     let x = Tensor::rand_uniform(&[14, 3, 8, 8], 0.0, 1.0, &mut SeededRng::new(41));
     let cfg = EngineConfig::default().with_max_batch(4).with_seed(97);
     let random = || PrecisionPolicy::Random(set.clone());
-    let adaptive = || PrecisionPolicy::Adaptive(set.clone());
 
     let mut inline = Engine::new(rps_net(40, &set), random(), cfg.clone());
     assert_eq!(random_burst!(inline, x), RANDOM, "inline, random");
-    let mut inline = Engine::new(rps_net(40, &set), adaptive(), cfg.clone());
+    let mut inline = Engine::new(rps_net(40, &set), random(), cfg.clone());
     assert_eq!(adaptive_burst!(inline, x), ADAPTIVE, "inline, adaptive");
     for workers in [1usize, 2, 5] {
         let mut sharded =
@@ -427,7 +426,7 @@ fn schedule_and_logits_match_the_pre_unification_fingerprints() {
             "{workers} workers, random"
         );
         let mut sharded =
-            ShardedEngine::with_factory(workers, |_| rps_net(40, &set), adaptive(), cfg.clone());
+            ShardedEngine::with_factory(workers, |_| rps_net(40, &set), random(), cfg.clone());
         assert_eq!(
             adaptive_burst!(sharded, x),
             ADAPTIVE,
