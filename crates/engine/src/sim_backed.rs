@@ -20,7 +20,7 @@ use tia_tensor::Tensor;
 /// new precision pays for the dataflow search.
 ///
 /// Full precision (`None`) is priced at 16-bit, the accelerator's highest
-/// supported execution precision (see `Precision::highest`).
+/// supported execution precision (see `Precision::MAX_BITS`).
 #[derive(Debug)]
 pub struct SimBacked<B> {
     inner: B,

@@ -15,11 +15,14 @@ use tia_tensor::{
 /// activations.
 ///
 /// When a precision is set (via [`Layer::set_precision`]), the forward pass
-/// computes with `Q_b(W)` and `Q_b(X)` — symmetric per-tensor quantization for
-/// weights, affine for activations — exactly the in-situ precision switch of
-/// the paper. The backward pass uses the straight-through estimator: the
-/// quantized values participate in the products, but gradients flow through
-/// the rounding unchanged.
+/// computes with `Q_b(W)` and `Q_b(X)` — symmetric quantization for weights,
+/// affine per-image quantization for activations — exactly the in-situ
+/// precision switch of the paper. The f32 path gives the weights one grid
+/// per tensor; the integer path below gives them one grid per output
+/// channel (a weight row). Both paths round on the same grids of
+/// `tia_quant`. The backward pass uses the straight-through estimator: the
+/// quantized values participate in the products, but gradients flow
+/// through the rounding unchanged.
 ///
 /// # Hot-path structure
 ///

@@ -4,11 +4,15 @@
 //!
 //! The paper quantizes both weights and activations with a linear quantizer
 //! (Jacob et al., CVPR'18 style) to a precision drawn from a candidate set
-//! (4–16 bit by default). Quantization here is *fake quantization*: values are
-//! rounded to the b-bit grid but kept in `f32`, exactly as quantization-aware
-//! training frameworks do. The backward pass uses the straight-through
-//! estimator, which the `tia-nn` layers implement by passing gradients through
-//! the quantization nodes unchanged.
+//! (4–16 bit by default). Weights have a symmetric grid and activations an
+//! affine one, each with one calibration and one rounding, and each grid has
+//! two output forms. *Fake quantization* ([`fake_quant_symmetric_into`],
+//! [`fake_quant_affine_slice`]) rounds values onto the b-bit grid but keeps
+//! them in `f32`, exactly as quantization-aware training frameworks do; the
+//! backward pass uses the straight-through estimator, which the `tia-nn`
+//! layers implement by passing gradients through the quantization nodes
+//! unchanged. *Integer levels* ([`QuantizedWeights::quantize_rows`],
+//! [`quantize_affine_levels`]) feed the integer GEMM at 2–8 bits.
 //!
 //! The quantization *noise* — the gap between the grids of two different
 //! precisions — is the mechanism the whole paper rests on: adversarial
@@ -18,16 +22,15 @@
 //! # Example
 //!
 //! ```
-//! use tia_quant::{Precision, fake_quant_symmetric};
-//! use tia_tensor::Tensor;
+//! use tia_quant::{fake_quant_symmetric_into, Precision};
 //!
-//! let w = Tensor::from_vec(vec![-1.0, -0.4, 0.3, 0.9], &[4]);
-//! let q4 = fake_quant_symmetric(&w, Precision::new(4));
-//! let q8 = fake_quant_symmetric(&w, Precision::new(8));
+//! let w = [-1.0, -0.4, 0.3, 0.9];
+//! let (mut q4, mut q8) = ([0.0; 4], [0.0; 4]);
+//! fake_quant_symmetric_into(&w, &mut q4, Precision::new(4));
+//! fake_quant_symmetric_into(&w, &mut q8, Precision::new(8));
 //! // Higher precision quantizes with smaller error.
-//! let e4: f32 = w.sub(&q4).data().iter().map(|v| v.abs()).sum();
-//! let e8: f32 = w.sub(&q8).data().iter().map(|v| v.abs()).sum();
-//! assert!(e8 <= e4);
+//! let err = |q: &[f32]| -> f32 { w.iter().zip(q).map(|(a, b)| (a - b).abs()).sum() };
+//! assert!(err(&q8) <= err(&q4));
 //! ```
 
 #![deny(missing_docs)]
@@ -41,7 +44,4 @@ pub use packed::{
     LevelParams, OutStrides, QuantizedWeights,
 };
 pub use precision::{Precision, PrecisionSet};
-pub use quantizer::{
-    fake_quant_affine, fake_quant_affine_slice, fake_quant_symmetric, fake_quant_symmetric_into,
-    AffineParams,
-};
+pub use quantizer::{fake_quant_affine_slice, fake_quant_symmetric_into};

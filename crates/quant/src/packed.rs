@@ -1,11 +1,12 @@
-//! True integer storage and compute for inference-time quantization.
+//! The two quantization grids, and true integer storage and compute on them.
 //!
-//! The fake-quant path (see [`crate::quantizer`]) rounds values onto the
-//! b-bit grid but keeps them in `f32`, which is what training and the
-//! attack-side gradients need. At serving time under the `native` kernel
-//! mode, quantized layers instead run *genuinely* quantized: weights are
-//! stored as signed integers with per-row scales, prepacked into the
-//! [`INT_NR`]-wide panels of [`tia_tensor::simd`]'s integer tile;
+//! Both grids, affine and symmetric, are defined once, here. The fake-quant
+//! path (see [`crate::quantizer`]) writes a level's dequantized `f32`, which
+//! is what training and the attack-side gradients need. On the serving path
+//! (`Mode::Infer` at 2–8 bits, past the crossover depth), quantized layers
+//! instead run *genuinely* quantized: weights are stored as signed integers
+//! with per-row scales, prepacked into the [`INT_NR`]-wide panels of
+//! [`tia_tensor::simd`]'s integer tile;
 //! activations are unsigned levels with a per-sample affine grid; and the
 //! matmul is a tiled GEMM that accumulates exactly in `i32` and dequantizes
 //! each tile in registers.
@@ -42,9 +43,8 @@ use tia_tensor::simd::{
 };
 use tia_tensor::AlignedBytes;
 
-/// Affine grid of one quantized activation slice, with the zero point as
-/// the integer *level* it is (contrast [`crate::AffineParams`], which keeps
-/// it in `f32` for the fake-quant path).
+/// Affine grid of one quantized activation slice: the slice's values are
+/// approximated by `scale · (level − zero_point)` with integer levels.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelParams {
     /// Grid step.
@@ -57,12 +57,13 @@ pub struct LevelParams {
 /// is computed contiguously (so the arithmetic vectorizes), then scattered.
 const TILE: usize = 64;
 
+// tia-lint: hot-path(begin)
 /// `(min, max)` of `src` and `0.0`, ignoring NaNs — the value
 /// `fold(f32::min)` / `fold(f32::max)` give, computed over independent
 /// lanes so the compiler can keep one vector of running minima and one of
 /// maxima. `min`/`max` are order-independent up to the sign of a zero
-/// result, which no caller can observe (`hi - lo`, `-lo / scale` rounded,
-/// `hi == lo`).
+/// result, which no grid can observe (`hi - lo`, `hi.max(-lo)`, and a zero
+/// point whose sign only reaches a level that equals it).
 fn min_max_with_zero(src: &[f32]) -> (f32, f32) {
     const LANES: usize = 16;
     let (mut lo, mut hi) = ([0.0f32; LANES], [0.0f32; LANES]);
@@ -81,46 +82,109 @@ fn min_max_with_zero(src: &[f32]) -> (f32, f32) {
     )
 }
 
-/// The affine grid a slice is quantized onto: `level = round(v / scale +
-/// zero_point)` clamped to `0..=levels`, all three kept in `f32`.
+/// The affine grid of one slice: `level = round(v / scale + zero_point)`
+/// clamped to `0..=levels`, all three kept in `f32`.
 #[derive(Clone, Copy)]
-struct Grid {
+pub(crate) struct AffineGrid {
     scale: f32,
     zero_point: f32,
     levels: f32,
 }
 
-impl Grid {
-    /// `(v / scale + zero_point).round().clamp(0.0, levels) as u8`, bit for
-    /// bit on every input (NaN gives level 0), without the `roundf` call.
+impl AffineGrid {
+    /// The grid of a slice with no range (all zeros, NaNs aside): level 0.
+    pub(crate) const UNIT: Self = Self {
+        scale: 1.0,
+        zero_point: 0.0,
+        levels: 0.0,
+    };
+
+    /// The grid of `src` at `precision`: its range widened to hold `0.0`
+    /// (NaNs ignored) in `2^b − 1` steps, `0.0` rounded onto a level. `None`
+    /// for an empty range, which only an all-zero slice (NaNs aside) has.
+    pub(crate) fn calibrate(src: &[f32], precision: Precision) -> Option<Self> {
+        let levels = ((1u32 << precision.bits()) - 1) as f32;
+        let (lo, hi) = min_max_with_zero(src);
+        if hi == lo {
+            return None;
+        }
+        let scale = (hi - lo) / levels;
+        Some(Self {
+            scale,
+            zero_point: (-lo / scale).round(),
+            levels,
+        })
+    }
+
+    /// The grid as its callers see it.
+    pub(crate) fn params(self) -> LevelParams {
+        LevelParams {
+            scale: self.scale,
+            zero_point: self.zero_point as i32,
+        }
+    }
+
+    /// The level of `v`: `(v / scale + zero_point).round().clamp(0.0,
+    /// levels)` on every input (NaN gives level 0), without the `roundf` call.
     ///
     /// Clamping first is exact because rounding is monotone and the bounds
-    /// are integers. For `t` in `[0, 256)`, `t + 2^23` rounds `t` to the
+    /// are integers. For `t` in `[0, 2^16)`, `t + 2^23` rounds `t` to the
     /// nearest integer, ties to even, and leaves that integer in the low
     /// mantissa bits; `t - nearest` is exact, and it is `+0.5` precisely on
     /// the ties that went down where `round` (ties away from zero) goes up.
     #[inline(always)]
-    fn level_of(self, v: f32) -> u8 {
+    pub(crate) fn level_of(self, v: f32) -> i32 {
         const TWO_23: f32 = 8_388_608.0;
         // `f32::max` drops a NaN for the 0.0, the level `NaN as u8` gives.
         let t = (v / self.scale + self.zero_point).max(0.0).min(self.levels);
         let shifted = t + TWO_23;
         let tie_went_down = t - (shifted - TWO_23) == 0.5;
-        (shifted.to_bits() as u8).wrapping_add(tie_went_down as u8)
+        (shifted.to_bits() - TWO_23.to_bits()) as i32 + tie_went_down as i32
     }
 
-    /// Quantizes a contiguous run.
-    fn quantize_run(self, src: &[f32], dst: &mut [u8]) {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = self.level_of(v);
-        }
+    /// `v` dequantized, `(level − zero_point) · scale`, for a `v` that is not
+    /// NaN. The level takes the sign of `v`'s position, as `round` makes
+    /// `(−0.5, 0]` level `−0.0` (a position below never meets a zero point 0).
+    #[inline(always)]
+    pub(crate) fn fake_quant(self, v: f32) -> f32 {
+        let level = (self.level_of(v) as f32).copysign(v / self.scale + self.zero_point);
+        (level - self.zero_point) * self.scale
+    }
+}
+
+/// The symmetric grid of one slice: `level = round(v / step)` clamped to
+/// `−qmax..=qmax`, both kept in `f32`.
+#[derive(Clone, Copy)]
+pub(crate) struct SymmetricGrid {
+    pub(crate) step: f32,
+    qmax: f32,
+}
+
+impl SymmetricGrid {
+    /// The grid of `src` at `bits`: `step = max|x| / qmax` (NaNs ignored),
+    /// `qmax = 2^{b−1} − 1` (1 at one bit). `None` if no value is nonzero.
+    pub(crate) fn calibrate(src: &[f32], bits: u8) -> Option<Self> {
+        let qmax = ((1i32 << (bits.max(2) - 1)) - 1) as f32;
+        let (lo, hi) = min_max_with_zero(src);
+        let amax = hi.max(-lo);
+        (amax != 0.0).then(|| Self {
+            step: amax / qmax,
+            qmax,
+        })
+    }
+
+    /// The level of `v`, `(v / step).round().clamp(−qmax, qmax)` (NaN for a
+    /// NaN).
+    #[inline(always)]
+    pub(crate) fn level_of(self, v: f32) -> f32 {
+        (v / self.step).round().clamp(-self.qmax, self.qmax)
     }
 }
 
 /// Quantizes `src` onto the same affine grid as
 /// [`crate::fake_quant_affine_slice`], but emits the integer *levels*
-/// instead of the dequantized values. `(level - zero_point) * scale`
-/// reproduces the fake-quant output exactly.
+/// instead of the dequantized values: `(level - zero_point) * scale` is the
+/// fake quantizer's output, up to the sign of a zero (a NaN is level 0).
 ///
 /// This is [`quantize_affine_levels_hwc`] over a single plane.
 ///
@@ -144,7 +208,6 @@ pub fn quantize_affine_levels(src: &[f32], dst: &mut [u8], precision: Precision)
 ///
 /// Panics if the slice lengths differ, `channels` does not divide them
 /// (zero included), or `precision` exceeds 8 bits.
-// tia-lint: hot-path(begin)
 pub fn quantize_affine_levels_hwc(
     src: &[f32],
     channels: usize,
@@ -160,41 +223,24 @@ pub fn quantize_affine_levels_hwc(
         channels > 0 && src.len().is_multiple_of(channels),
         "quantize_affine_levels: channels must divide the slice"
     );
-    let b = precision.bits() as u32;
+    let b = precision.bits();
     assert!(b <= 8, "activation levels beyond 8 bits do not fit a byte");
-    let levels = ((1u64 << b) - 1) as f32;
-    let (lo, hi) = min_max_with_zero(src);
-    if hi == lo {
-        // All-zero slice (lo ≤ 0 ≤ hi forces lo = hi = 0): level 0 is 0.0.
-        dst.fill(0);
-        return LevelParams {
-            scale: 1.0,
-            zero_point: 0,
-        };
-    }
-    let scale = (hi - lo) / levels;
-    let zero_point = (-lo / scale).round();
-    let grid = Grid {
-        scale,
-        zero_point,
-        levels,
-    };
+    let grid = AffineGrid::calibrate(src, precision).unwrap_or(AffineGrid::UNIT);
     let hw = src.len() / channels;
     let mut tile = [0u8; TILE];
     for s0 in (0..hw).step_by(TILE) {
         let t = TILE.min(hw - s0);
         for (ci, plane) in src.chunks_exact(hw).enumerate() {
-            grid.quantize_run(&plane[s0..s0 + t], &mut tile[..t]);
+            for (l, &v) in tile[..t].iter_mut().zip(&plane[s0..s0 + t]) {
+                *l = grid.level_of(v) as u8;
+            }
             let pixels = dst[s0 * channels + ci..].iter_mut().step_by(channels);
             for (d, &level) in pixels.zip(&tile[..t]) {
                 *d = level;
             }
         }
     }
-    LevelParams {
-        scale,
-        zero_point: zero_point as i32,
-    }
+    grid.params()
 }
 // tia-lint: hot-path(end)
 
@@ -230,8 +276,9 @@ pub struct QuantizedWeights {
 
 impl QuantizedWeights {
     /// Quantizes a row-major `rows x k` f32 matrix to symmetric `bits`-bit
-    /// integers with per-row scales: `t = round(w / s)` with
-    /// `s = max|row| / (2^{b-1} − 1)`.
+    /// integers, one grid per row: each row's levels and step are those
+    /// [`crate::fake_quant_symmetric_into`] gives that row alone, `t =
+    /// round(w / s)` with `s = max|row| / (2^{b-1} − 1)`.
     ///
     /// # Panics
     ///
@@ -246,30 +293,28 @@ impl QuantizedWeights {
             k <= INT_MAX_DEPTH,
             "reduction depth {k} could overflow the i32 dot accumulator"
         );
-        let qmax = ((1i32 << (bits - 1)) - 1) as f32;
         let panel_len = int_panel_len(k);
         let mut data = AlignedBytes::zeroed(rows.div_ceil(INT_NR) * panel_len);
-        let mut scales = Vec::with_capacity(rows);
-        let mut row_sums = Vec::with_capacity(rows);
+        // An all-zero row keeps step 0, row sum 0 and zero panel bytes.
+        let mut scales = vec![0.0; rows];
+        let mut row_sums = vec![0; rows];
+        // tia-lint: hot-path(begin)
         for r in 0..rows {
             let src = &w[r * k..(r + 1) * k];
-            let panel = &mut data[r / INT_NR * panel_len..][..panel_len];
-            let amax = src.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            if amax == 0.0 {
-                scales.push(0.0);
-                row_sums.push(0);
+            let Some(grid) = SymmetricGrid::calibrate(src, bits) else {
                 continue;
-            }
-            let s = amax / qmax;
+            };
+            let panel = &mut data[r / INT_NR * panel_len..][..panel_len];
             let mut sum = 0i32;
             for (p, &v) in src.iter().enumerate() {
-                let t = (v / s).round().clamp(-qmax, qmax) as i32;
+                let t = grid.level_of(v) as i32;
                 sum += t;
                 panel[int_panel_index(p, r % INT_NR)] = t as i8 as u8;
             }
-            scales.push(s);
-            row_sums.push(sum);
+            scales[r] = grid.step;
+            row_sums[r] = sum;
         }
+        // tia-lint: hot-path(end)
         Self {
             rows,
             k,
@@ -477,8 +522,116 @@ pub fn gemm_quant_strided(
 }
 // tia-lint: hot-path(end)
 
+/// The quantizers as written before the grids were shared — sequential
+/// NaN-ignoring folds for calibration, then `round().clamp()` per element —
+/// kept as the oracles both output forms are checked against bit for bit,
+/// with the inputs that reach every branch of both grids.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use tia_tensor::SeededRng;
+
+    /// The affine grid of `src` as `(scale, zero_point, levels)`, the levels
+    /// in `f32` (NaN for a NaN), or `None` for a slice with no grid.
+    pub(crate) fn affine(src: &[f32], bits: u8) -> Option<(f32, f32, Vec<f32>)> {
+        let levels = ((1u64 << bits) - 1) as f32;
+        let lo = src.iter().copied().fold(f32::INFINITY, f32::min).min(0.0);
+        let hi = src
+            .iter()
+            .copied()
+            .fold(f32::NEG_INFINITY, f32::max)
+            .max(0.0);
+        if hi == lo {
+            return None;
+        }
+        let scale = (hi - lo) / levels;
+        let zero_point = (-lo / scale).round();
+        let qv = src
+            .iter()
+            .map(|&v| (v / scale + zero_point).round().clamp(0.0, levels))
+            .collect();
+        Some((scale, zero_point, qv))
+    }
+
+    /// The symmetric grid of `src` as `(step, levels)`, the levels in `f32`
+    /// (NaN for a NaN), or `None` for a slice with no nonzero value.
+    pub(crate) fn symmetric(src: &[f32], bits: u8) -> Option<(f32, Vec<f32>)> {
+        let qmax = if bits <= 1 {
+            1.0
+        } else {
+            ((1i64 << (bits - 1)) - 1) as f32
+        };
+        let amax = src.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        if amax == 0.0 {
+            return None;
+        }
+        let s = amax / qmax;
+        let levels = src
+            .iter()
+            .map(|&v| (v / s).round().clamp(-qmax, qmax))
+            .collect();
+        Some((s, levels))
+    }
+
+    /// Non-NaN values must match bit for bit; a NaN must meet a NaN.
+    pub(crate) fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            if w.is_nan() {
+                assert!(g.is_nan(), "{what} elem {i}: {g:e}, want NaN");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what} elem {i}: {g:e} vs {w:e}");
+            }
+        }
+    }
+
+    /// Named slices that reach every branch of both grids at `bits`: normal
+    /// draws (shorter and longer than the calibration's lanes), constant
+    /// and all-zero slices, signed zeros, NaN and infinite entries, a
+    /// negative fringe that rounds the zero point to 0, and values placed
+    /// exactly on the `k + 0.5` ties of an affine grid at step 1 and 2⁻⁴.
+    pub(crate) fn cases(bits: u8) -> Vec<(String, Vec<f32>)> {
+        let mut rng = SeededRng::new(0x0A1D + bits as u64);
+        let mut normal = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.normal()).collect() };
+        let mut out = vec![
+            ("normal 7".to_string(), normal(7)),
+            ("normal 97".to_string(), normal(97)),
+            ("constant".to_string(), vec![3.25; 20]),
+            ("negative constant".to_string(), vec![-0.75; 20]),
+            ("all zero".to_string(), vec![0.0; 19]),
+            ("signed zeros".to_string(), vec![0.0, -0.0, -0.0, 0.0, -0.0]),
+            ("zeros and NaN".to_string(), vec![-0.0, f32::NAN, 0.0]),
+        ];
+        let mut x = normal(40);
+        x[3] = -0.0;
+        x[17] = 0.0;
+        out.push(("normal with signed zeros".to_string(), x.clone()));
+        x[5] = f32::NAN;
+        x[33] = f32::NAN;
+        out.push(("normal with NaN".to_string(), x.clone()));
+        for v in [f32::INFINITY, f32::NEG_INFINITY] {
+            let mut y = x.clone();
+            y[8] = v;
+            out.push((format!("normal with {v}"), y));
+        }
+        let fringe = (0..50).map(|i| i as f32 * 0.02 - 0.0004).collect();
+        out.push(("negative fringe".to_string(), fringe));
+        let levels = ((1u32 << bits) - 1) as f32;
+        for step in [1.0f32, 0.0625] {
+            // lo = −3·step and hi = (levels − 3)·step give exactly this step
+            // and zero point 3 (from 3 bits up); every k + 0.5 is a tie.
+            let mut ties = vec![-3.0 * step, (levels - 3.0) * step];
+            let count = (levels as usize).min(600);
+            ties.extend((0..count).map(|k| (k as f32 - 2.5) * step));
+            ties.extend((0..count).map(|k| (levels - k as f32 - 3.5) * step));
+            out.push((format!("ties at step {step}"), ties));
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{self, assert_same};
     use super::*;
     use crate::fake_quant_affine_slice;
     use tia_tensor::simd::{self, KernelMode};
@@ -486,17 +639,26 @@ mod tests {
 
     #[test]
     fn levels_reproduce_fake_quant_exactly() {
-        let mut rng = SeededRng::new(21);
-        for bits in [2u8, 4, 5, 8] {
-            let p = Precision::new(bits);
-            let x: Vec<f32> = (0..97).map(|_| rng.normal()).collect();
-            let mut fq = vec![0.0f32; x.len()];
-            fake_quant_affine_slice(&x, &mut fq, p);
-            let mut lv = vec![0u8; x.len()];
-            let params = quantize_affine_levels(&x, &mut lv, p);
-            for (i, (&l, &f)) in lv.iter().zip(&fq).enumerate() {
-                let deq = (l as i32 - params.zero_point) as f32 * params.scale;
-                assert_eq!(deq.to_bits(), f.to_bits(), "bits={} elem {}", bits, i);
+        // The byte form against the pre-change expression: the same grid,
+        // each level the oracle's (a NaN at level 0), and no grid → level 0.
+        for bits in 1..=8u8 {
+            for (name, x) in oracle::cases(bits) {
+                let mut lv = vec![0xAAu8; x.len()];
+                let params = quantize_affine_levels(&x, &mut lv, Precision::new(bits));
+                let what = format!("{bits} bits, {name}");
+                let Some((scale, zero_point, qv)) = oracle::affine(&x, bits) else {
+                    let unit = LevelParams {
+                        scale: 1.0,
+                        zero_point: 0,
+                    };
+                    assert_eq!(params, unit, "{what}");
+                    assert!(lv.iter().all(|&l| l == 0), "{what}");
+                    continue;
+                };
+                assert_same(&[params.scale], &[scale], &what);
+                assert_eq!(params.zero_point, zero_point as i32, "{what}");
+                let want: Vec<u8> = qv.iter().map(|&q| q as u8).collect();
+                assert_eq!(lv, want, "{what}");
             }
         }
     }
@@ -511,13 +673,12 @@ mod tests {
 
     #[test]
     fn level_of_equals_round_then_clamp_on_a_dense_sweep() {
-        // The reference is the expression the fast form replaced. Sweep every
-        // half-integer neighbourhood in and around the byte range at 1-ulp
+        // The reference is the expression the fast form replaced, at every
+        // precision up to 16 bits (65535 levels). Sweep every half-integer
+        // neighbourhood at the bottom and the top of each grid at 1-ulp
         // resolution, plus the values no image should hold but a peer can
         // send.
-        let reference =
-            |g: Grid, v: f32| (v / g.scale + g.zero_point).round().clamp(0.0, g.levels) as u8;
-        let mut inputs = vec![
+        let mut specials = vec![
             f32::NAN,
             f32::INFINITY,
             f32::NEG_INFINITY,
@@ -526,37 +687,55 @@ mod tests {
             f32::MIN_POSITIVE,
             -0.0,
         ];
-        for half in -8..=520 {
-            let v = half as f32 * 0.5;
-            inputs.extend([
-                v.next_down().next_down(),
-                v.next_down(),
-                v,
-                v.next_up(),
-                v.next_up().next_up(),
-            ]);
-        }
         let mut rng = SeededRng::new(31);
-        inputs.extend((0..20_000).map(|_| rng.normal() * 90.0 + 100.0));
-        for bits in 2u32..=8 {
+        specials.extend((0..20_000).map(|_| rng.normal() * 90.0 + 100.0));
+        for bits in 1..=Precision::MAX_BITS {
             let levels = ((1u32 << bits) - 1) as f32;
+            let top = 2 * levels as i32;
+            let mut halves = Vec::new();
+            for half in (-8..=520).chain((top - 520).max(521)..=top + 8) {
+                let v = half as f32 * 0.5;
+                halves.extend([
+                    v.next_down().next_down(),
+                    v.next_down(),
+                    v,
+                    v.next_up(),
+                    v.next_up().next_up(),
+                ]);
+            }
             for (scale, zero_point) in [(1.0f32, 0.0f32), (1.0, 3.0), (0.37, 1.0), (2.5, 100.0)] {
-                let g = Grid {
+                let g = AffineGrid {
                     scale,
                     zero_point,
                     levels,
                 };
-                for &v in &inputs {
+                for &v in specials.iter().chain(&halves) {
                     // Both the raw value and the one that lands `v` on `t`.
                     for x in [v, (v - zero_point) * scale] {
+                        let want = (x / scale + zero_point).round().clamp(0.0, levels);
                         assert_eq!(
                             g.level_of(x),
-                            reference(g, x),
+                            want as i32,
                             "bits={bits} scale={scale} zp={zero_point} x={x:e}"
                         );
                     }
                 }
             }
+            // The f32 form on calibrated grids: the same neighbourhoods,
+            // placed on a grid of step 1 and zero point 3 (from 3 bits up)
+            // by its endpoints.
+            let mut x = vec![-3.0, levels - 3.0, f32::NAN];
+            x.extend(
+                halves
+                    .iter()
+                    .map(|v| v - 3.0)
+                    .filter(|v| (-3.0..=levels - 3.0).contains(v)),
+            );
+            let (scale, zero_point, qv) = oracle::affine(&x, bits).expect("a nonzero range");
+            let want: Vec<f32> = qv.iter().map(|q| (q - zero_point) * scale).collect();
+            let mut got = vec![0.0f32; x.len()];
+            fake_quant_affine_slice(&x, &mut got, Precision::new(bits));
+            assert_same(&got, &want, &format!("f32 form, {bits} bits"));
         }
     }
 
@@ -743,6 +922,34 @@ mod tests {
                     let err = (q.dequant_at(r, j) - w[r * k + j]).abs();
                     assert!(err <= s / 2.0 + 1e-6, "bits={} ({},{})", bits, r, j);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_rows_matches_the_oracle_row_by_row() {
+        // Each row on its own symmetric grid, against the pre-change
+        // expression: step, every level (a NaN at level 0) and the row sum.
+        for bits in 2..=8u8 {
+            let rows = oracle::cases(bits);
+            let k = 40;
+            let mut w = Vec::new();
+            for (_, x) in &rows {
+                w.extend(x.iter().cycle().take(k));
+            }
+            let q = QuantizedWeights::quantize_rows(&w, rows.len(), k, bits);
+            for (r, (name, _)) in rows.iter().enumerate() {
+                let what = format!("{bits} bits, row {r} ({name})");
+                let (step, levels) =
+                    oracle::symmetric(&w[r * k..(r + 1) * k], bits).unwrap_or((0.0, vec![0.0; k]));
+                assert_same(&[q.scales[r]], &[step], &what);
+                let panel = &q.data[r / INT_NR * int_panel_len(k)..];
+                let got: Vec<i32> = (0..k)
+                    .map(|j| panel[int_panel_index(j, r % INT_NR)] as i8 as i32)
+                    .collect();
+                let want: Vec<i32> = levels.iter().map(|&l| l as i32).collect();
+                assert_eq!(got, want, "{what}");
+                assert_eq!(q.row_sums[r], want.iter().sum::<i32>(), "{what}");
             }
         }
     }

@@ -6,7 +6,7 @@
 //! and a failure message pins the exact case index for replay.
 
 use two_in_one_accel::prelude::*;
-use two_in_one_accel::quant::{fake_quant_affine, fake_quant_symmetric};
+use two_in_one_accel::quant::{fake_quant_affine_slice, fake_quant_symmetric_into};
 use two_in_one_accel::tensor::{col2im, im2col, Conv2dGeometry};
 
 const CASES: usize = 64;
@@ -20,10 +20,11 @@ fn quantization_is_idempotent_and_bounded() {
         let vals: Vec<f32> = (0..n).map(|_| rng.uniform_in(-10.0, 10.0)).collect();
         let t = Tensor::from_vec(vals, &[n]);
         let p = Precision::new(bits);
-        let q1 = fake_quant_symmetric(&t, p);
-        let q2 = fake_quant_symmetric(&q1, p);
+        let (mut q1, mut q2) = (vec![0.0; n], vec![0.0; n]);
+        fake_quant_symmetric_into(t.data(), &mut q1, p);
+        fake_quant_symmetric_into(&q1, &mut q2, p);
         // Idempotent (up to float noise).
-        for (a, b) in q1.data().iter().zip(q2.data()) {
+        for (a, b) in q1.iter().zip(&q2) {
             assert!(
                 (a - b).abs() < 1e-4,
                 "case {}: not idempotent ({} vs {})",
@@ -35,7 +36,7 @@ fn quantization_is_idempotent_and_bounded() {
         // Error bounded by half a grid step.
         let qmax = ((1i64 << (bits - 1)) - 1) as f32;
         let step = t.abs_max() / qmax;
-        for (a, b) in t.data().iter().zip(q1.data()) {
+        for (a, b) in t.data().iter().zip(&q1) {
             assert!(
                 (a - b).abs() <= step / 2.0 + 1e-5,
                 "case {}: error above half step",
@@ -53,9 +54,10 @@ fn affine_quantization_stays_in_range() {
         let bits = 2 + rng.below(15) as u8;
         let vals: Vec<f32> = (0..n).map(|_| rng.uniform()).collect();
         let t = Tensor::from_vec(vals, &[n]);
-        let (q, params) = fake_quant_affine(&t, Precision::new(bits));
+        let mut q = vec![0.0; n];
+        let params = fake_quant_affine_slice(t.data(), &mut q, Precision::new(bits));
         assert!(params.scale >= 0.0, "case {}", case);
-        for &v in q.data() {
+        for &v in &q {
             assert!(
                 v >= t.min() - params.scale && v <= t.max() + params.scale,
                 "case {}: {} outside calibrated range",
