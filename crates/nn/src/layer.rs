@@ -16,9 +16,10 @@ use tia_tensor::{Tensor, Workspace};
 ///
 /// `Infer` is not numerically `Eval`: a quantized layer at 2–8 bits whose
 /// reduction depth is past the crossover runs the true-integer GEMM in
-/// `Infer` and the f32 fake-quant path in `Eval`, and the two grids round
-/// differently (`pack_memo::integer_path` decides). Every other layer,
-/// precision and depth computes `Eval`'s values.
+/// `Infer` and the f32 fake-quant path in `Eval` (`pack_memo::integer_path`
+/// decides). Both quantize onto the same grids and levels, so the two differ
+/// only by an exact `i32` sum against an `f32` sum of dequantized products.
+/// Every other layer, precision and depth computes `Eval`'s bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Training: batch statistics, running-stat updates.

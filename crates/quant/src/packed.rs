@@ -82,6 +82,22 @@ fn min_max_with_zero(src: &[f32]) -> (f32, f32) {
     )
 }
 
+/// `t.round()` for a `t` in `[0, 2^16]` that is already clamped to a grid's
+/// levels, without the `roundf` call; both grids round here.
+///
+/// Clamping first is exact because rounding is monotone and the bounds are
+/// integers. `t + 2^23` rounds `t` to the nearest integer, ties to even, and
+/// leaves that integer in the low mantissa bits; `t - nearest` is exact, and
+/// it is `+0.5` precisely on the ties that went down where `round` (ties
+/// away from zero) goes up.
+#[inline(always)]
+fn round_clamped(t: f32) -> i32 {
+    const TWO_23: f32 = 8_388_608.0;
+    let shifted = t + TWO_23;
+    let tie_went_down = t - (shifted - TWO_23) == 0.5;
+    (shifted.to_bits() - TWO_23.to_bits()) as i32 + tie_went_down as i32
+}
+
 /// The affine grid of one slice: `level = round(v / scale + zero_point)`
 /// clamped to `0..=levels`, all three kept in `f32`.
 #[derive(Clone, Copy)]
@@ -125,21 +141,11 @@ impl AffineGrid {
     }
 
     /// The level of `v`: `(v / scale + zero_point).round().clamp(0.0,
-    /// levels)` on every input (NaN gives level 0), without the `roundf` call.
-    ///
-    /// Clamping first is exact because rounding is monotone and the bounds
-    /// are integers. For `t` in `[0, 2^16)`, `t + 2^23` rounds `t` to the
-    /// nearest integer, ties to even, and leaves that integer in the low
-    /// mantissa bits; `t - nearest` is exact, and it is `+0.5` precisely on
-    /// the ties that went down where `round` (ties away from zero) goes up.
+    /// levels)` on every input (NaN gives level 0).
     #[inline(always)]
     pub(crate) fn level_of(self, v: f32) -> i32 {
-        const TWO_23: f32 = 8_388_608.0;
         // `f32::max` drops a NaN for the 0.0, the level `NaN as u8` gives.
-        let t = (v / self.scale + self.zero_point).max(0.0).min(self.levels);
-        let shifted = t + TWO_23;
-        let tie_went_down = t - (shifted - TWO_23) == 0.5;
-        (shifted.to_bits() - TWO_23.to_bits()) as i32 + tie_went_down as i32
+        round_clamped((v / self.scale + self.zero_point).max(0.0).min(self.levels))
     }
 
     /// `v` dequantized, `(level − zero_point) · scale`, for a `v` that is not
@@ -173,11 +179,14 @@ impl SymmetricGrid {
         })
     }
 
-    /// The level of `v`, `(v / step).round().clamp(−qmax, qmax)` (NaN for a
-    /// NaN).
+    /// The level of `v`, `(v / step).round().clamp(−qmax, qmax)`, with a
+    /// NaN at level `±0.0`: the level of `|v|`, then `v`'s sign, as `round`
+    /// is odd and makes `(−0.5, −0]` level `−0.0`.
     #[inline(always)]
     pub(crate) fn level_of(self, v: f32) -> f32 {
-        (v / self.step).round().clamp(-self.qmax, self.qmax)
+        let q = v / self.step;
+        // `f32::max` drops a NaN for the 0.0.
+        (round_clamped(q.abs().max(0.0).min(self.qmax)) as f32).copysign(q)
     }
 }
 

@@ -33,22 +33,11 @@ impl Precision {
     pub fn bits(self) -> u8 {
         self.0
     }
-
-    /// Number of representable levels, `2^bits`.
-    pub fn levels(self) -> u32 {
-        1u32 << self.0
-    }
 }
 
 impl std::fmt::Display for Precision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}-bit", self.0)
-    }
-}
-
-impl From<Precision> for u8 {
-    fn from(p: Precision) -> u8 {
-        p.0
     }
 }
 
@@ -190,7 +179,6 @@ mod tests {
     fn precision_bounds() {
         assert_eq!(Precision::new(1).bits(), 1);
         assert_eq!(Precision::new(16).bits(), 16);
-        assert_eq!(Precision::new(8).levels(), 256);
     }
 
     #[test]
