@@ -136,9 +136,9 @@ impl Backend for Network {
         // Serving mode: layers skip every backward cache and recycle all
         // intermediates — the zero-allocation steady state. Quantized
         // layers at 2–8 bits past the crossover depth take the
-        // true-integer path: Eval's weight and activation levels, summed
-        // exactly in `i32` instead of in f32. Which path runs depends on
-        // the mode and the depth, never on the kernel mode.
+        // true-integer path (a different, still per-sample-deterministic
+        // numeric than Eval); which path runs depends on the mode and the
+        // depth, never on the kernel mode.
         self.forward(x, Mode::Infer)
     }
 

@@ -17,10 +17,10 @@ use tia_tensor::{
 /// When a precision is set (via [`Layer::set_precision`]), the forward pass
 /// computes with `Q_b(W)` and `Q_b(X)` — symmetric quantization for weights,
 /// affine per-image quantization for activations — exactly the in-situ
-/// precision switch of the paper. The weights get one grid per output
-/// channel (a weight row) on the f32 path and the integer path below alike,
-/// so both paths quantize onto the same levels of `tia_quant`'s grids. The
-/// backward pass uses the straight-through estimator: the
+/// precision switch of the paper. The f32 path gives the weights one grid
+/// per tensor; the integer path below gives them one grid per output
+/// channel (a weight row). Both paths round on the same grids of
+/// `tia_quant`. The backward pass uses the straight-through estimator: the
 /// quantized values participate in the products, but gradients flow
 /// through the rounding unchanged.
 ///
@@ -109,13 +109,8 @@ impl Conv2d {
         self.packs.entry_or_insert(p, || {
             let wq = match p {
                 Some(prec) => {
-                    // One grid per output channel: each row's grid is the
-                    // one `QuantizedWeights::quantize_rows` gives it.
                     let mut buf = vec![0.0f32; k * f];
-                    let rows = weight.value.data().chunks_exact(f);
-                    for (src, dst) in rows.zip(buf.chunks_exact_mut(f)) {
-                        fake_quant_symmetric_into(src, dst, prec);
-                    }
+                    fake_quant_symmetric_into(weight.value.data(), &mut buf, prec);
                     Tensor::from_vec(buf, &[k, f])
                 }
                 None => weight.value.reshape(&[k, f]),

@@ -17,9 +17,10 @@ use tia_tensor::{Tensor, Workspace};
 /// `Infer` is not numerically `Eval`: a quantized layer at 2–8 bits whose
 /// reduction depth is past the crossover runs the true-integer GEMM in
 /// `Infer` and the f32 fake-quant path in `Eval` (`pack_memo::integer_path`
-/// decides). Both quantize onto the same grids and levels, so the two differ
-/// only by an exact `i32` sum against an `f32` sum of dequantized products.
-/// Every other layer, precision and depth computes `Eval`'s bits.
+/// decides). Both round on the same grids, but the integer path gives the
+/// weights one grid per output channel where the f32 path gives them one
+/// per tensor, and it sums exactly in `i32` where the f32 path sums in
+/// f32. Every other layer, precision and depth computes `Eval`'s values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Training: batch statistics, running-stat updates.

@@ -104,13 +104,16 @@ impl PackMemo {
 }
 
 /// Crossover depth for the integer path: layers with a shallower reduction
-/// stay on the f32 fake-quant path, deeper ones take the integer GEMM, at
-/// every precision. It was measured against the row-at-a-time integer
-/// kernels the tiled GEMM replaced, and the tile is ahead of the f32 panels
-/// well below it. Both paths quantize the weights on one grid per output
-/// channel, so moving a layer across it changes its logits only by f32
-/// against `i32` accumulation.
+/// stay on the f32 fake-quant path, deeper ones take the integer GEMM;
+/// ≤ 4-bit precisions cross over higher. Both values were measured against
+/// the row-at-a-time integer kernels the tiled GEMM replaced and are speed
+/// choices of that time — the tile, which runs every precision at one
+/// speed, is ahead of the f32 panels well below either.
+/// They stay as they are because, while the integer grid and the fake-quant
+/// grid differ, moving a layer across the crossover changes its logits
+/// (ROADMAP item 1 makes that numerically free; re-measure then).
 const INT_CROSSOVER_K: usize = 48;
+const INT_CROSSOVER_K_SUB_BYTE: usize = 96;
 
 /// Whether a forward call takes the true-integer serving path: inference
 /// mode, a precision whose levels fit the byte-wide kernels, and a
@@ -122,5 +125,18 @@ const INT_CROSSOVER_K: usize = 48;
 /// shape, never of the batch, so batched ≡ per-sample bitwise identity
 /// survives the selection.
 pub(crate) fn integer_path(mode: Mode, p: Option<Precision>, k: usize) -> Option<Precision> {
-    p.filter(|prec| mode == Mode::Infer && (2..=8).contains(&prec.bits()) && k >= INT_CROSSOVER_K)
+    match p {
+        Some(prec)
+            if mode == Mode::Infer
+                && (2..=8).contains(&prec.bits())
+                && k >= if prec.bits() <= 4 {
+                    INT_CROSSOVER_K_SUB_BYTE
+                } else {
+                    INT_CROSSOVER_K
+                } =>
+        {
+            Some(prec)
+        }
+        _ => None,
+    }
 }

@@ -82,14 +82,12 @@ fn min_max_with_zero(src: &[f32]) -> (f32, f32) {
     )
 }
 
-/// `t.round()` for a `t` in `[0, 2^16]` that is already clamped to a grid's
-/// levels, without the `roundf` call; both grids round here.
-///
-/// Clamping first is exact because rounding is monotone and the bounds are
-/// integers. `t + 2^23` rounds `t` to the nearest integer, ties to even, and
-/// leaves that integer in the low mantissa bits; `t - nearest` is exact, and
-/// it is `+0.5` precisely on the ties that went down where `round` (ties
-/// away from zero) goes up.
+/// `t.round()` for a `t` already clamped to a grid's levels in `[0, 2^16]`,
+/// without the `roundf` call; both grids round here. Clamping first is exact,
+/// as rounding is monotone and the bounds are integers. `t + 2^23` rounds `t`
+/// to the nearest integer, ties to even, and leaves it in the low mantissa
+/// bits; `t - nearest` is exact, and it is `+0.5` precisely on the ties that
+/// went down where `round` (ties away from zero) goes up.
 #[inline(always)]
 fn round_clamped(t: f32) -> i32 {
     const TWO_23: f32 = 8_388_608.0;
@@ -179,14 +177,15 @@ impl SymmetricGrid {
         })
     }
 
-    /// The level of `v`, `(v / step).round().clamp(−qmax, qmax)`, with a
-    /// NaN at level `±0.0`: the level of `|v|`, then `v`'s sign, as `round`
-    /// is odd and makes `(−0.5, −0]` level `−0.0`.
+    /// The level of `v`, `(v / step).round().clamp(−qmax, qmax)` (NaN for a
+    /// NaN): `|v|`'s level with `v`'s sign, as `round` is odd (`−0.0` too).
     #[inline(always)]
     pub(crate) fn level_of(self, v: f32) -> f32 {
         let q = v / self.step;
-        // `f32::max` drops a NaN for the 0.0.
-        (round_clamped(q.abs().max(0.0).min(self.qmax)) as f32).copysign(q)
+        if q.is_nan() {
+            return q;
+        }
+        (round_clamped(q.abs().min(self.qmax)) as f32).copysign(q)
     }
 }
 

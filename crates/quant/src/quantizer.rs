@@ -9,8 +9,7 @@ use crate::{LevelParams, Precision};
 /// = level · step`, returning the step (0 for a slice with no nonzero
 /// value, which passes through unchanged). At one bit the grid is `{−s, 0,
 /// +s}` with `s = max|x|` (binary-connect style sign quantization with
-/// magnitude). `tia_nn::Conv2d` calls this on each output channel's weight
-/// row when it memoizes its weights.
+/// magnitude). `tia_nn::Conv2d` calls this when it memoizes its weights.
 ///
 /// # Panics
 ///
@@ -26,11 +25,7 @@ pub fn fake_quant_symmetric_into(src: &[f32], dst: &mut [f32], precision: Precis
         return 0.0;
     };
     for (d, &v) in dst.iter_mut().zip(src) {
-        *d = if v.is_nan() {
-            v
-        } else {
-            grid.level_of(v) * grid.step
-        };
+        *d = grid.level_of(v) * grid.step;
     }
     grid.step
 }

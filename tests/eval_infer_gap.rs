@@ -1,18 +1,15 @@
 //! The gap between the function an engine serves (`Mode::Infer`) and the
 //! function an attacker differentiates (`Mode::Eval`), printed and bounded.
 //!
-//! Both modes quantize onto the same levels: activations per image on the
-//! affine grid, weights per output channel on the symmetric grid. Below the
+//! Both modes quantize on the same two grids of `tia_quant`. Below the
 //! crossover depth `Infer` runs `Eval`'s f32 path, so a model whose every
 //! reduction is that shallow serves `Eval`'s bits at every precision. Past
-//! it, `Infer` takes the integer path at 2–8 bits and sums the same levels
-//! exactly in `i32` where `Eval` sums their dequantized products in `f32`.
-//! That accumulation is all the gap measures: per layer it is a few ulps,
-//! but a value that lands on the other side of the next layer's rounding
-//! boundary moves a whole level, and at 4 bits such flips compound through
-//! a deep network. The bounds sit at today's values, so the gap cannot
-//! silently widen; deleting the f32 lowering of 2–8 bits tightens them to
-//! full top-1 agreement and a zero logit difference.
+//! it `Infer` takes the integer path: weights on one grid per output
+//! channel instead of one per tensor, and an exact `i32` sum instead of an
+//! `f32` sum of dequantized products. Those two differences are all this
+//! gap measures. The bounds sit at today's values, so the gap cannot
+//! silently widen; closing it tightens them to full top-1 agreement and a
+//! zero logit difference.
 
 use two_in_one_accel::nn::zoo::{preact_resnet, BnKind, PreActResNetConfig};
 use two_in_one_accel::prelude::*;
@@ -93,11 +90,11 @@ fn width4_eval_infer_gap_stays_within_todays_bounds() {
         input: [32, 3, 8, 8],
         input_seed: 2,
         bounds: vec![
-            (Some(4), 1.0, 0.000_003),
-            (Some(5), 1.0, 0.000_002),
-            (Some(6), 1.0, 0.000_002),
-            (Some(7), 1.0, 0.000_002),
-            (Some(8), 1.0, 0.000_002),
+            (Some(4), 27.0 / 32.0, 1.551_768),
+            (Some(5), 30.0 / 32.0, 1.212_693),
+            (Some(6), 1.0, 0.487_852),
+            (Some(7), 31.0 / 32.0, 0.463_135),
+            (Some(8), 1.0, 0.149_129),
         ],
     });
 }
@@ -112,11 +109,11 @@ fn width16_eval_infer_gap_stays_within_todays_bounds() {
         input: [16, 3, 12, 16],
         input_seed: 12,
         bounds: vec![
-            (Some(4), 14.0 / 16.0, 0.992_229),
-            (Some(5), 1.0, 0.304_893),
-            (Some(6), 1.0, 0.171_955),
-            (Some(7), 1.0, 0.077_200),
-            (Some(8), 1.0, 0.000_004),
+            (Some(4), 15.0 / 16.0, 3.352_974),
+            (Some(5), 1.0, 1.853_562),
+            (Some(6), 15.0 / 16.0, 0.856_633),
+            (Some(7), 1.0, 0.429_859),
+            (Some(8), 1.0, 0.189_256),
         ],
     });
 }

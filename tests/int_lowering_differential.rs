@@ -156,7 +156,7 @@ fn integer_conv_cases(kernel: KernelMode) {
     ws.set_kernel(kernel);
     let ops = simd::backend(kernel);
     for case in 0..40 {
-        // Depth 96 and up, past the crossover (48): 2..=8 bits all go integer.
+        // Past the sub-byte crossover (96), so 2..=8 bits all go integer.
         let Case { geo, h, w } = draw_case(&mut rng, 96);
         let (c, k) = (geo.in_channels, geo.out_channels);
         let f = c * geo.kernel_h * geo.kernel_w;
@@ -237,8 +237,9 @@ fn linear_forward_equals_row_major_expressions_at_1x1() {
     // `Linear` is a 1×1 `Conv2d` on `[N, F, 1, 1]`, a geometry `draw_case`
     // never draws. The oracles are the row-major expressions a dedicated
     // FC layer would compute: per-row level quantization and one
-    // `gemm_quant` over `[out, in]` weight rows past the crossover, per-row
-    // fake quantization and `X · Wqᵀ` plus bias below it.
+    // `gemm_quant` over `[out, in]` weight rows past the crossover; below
+    // it, activations fake-quantized per row, weights per tensor, and
+    // `X · Wqᵀ` plus bias.
     for kernel in [KernelMode::Scalar, KernelMode::Native] {
         linear_cases(kernel);
     }
@@ -249,8 +250,7 @@ fn linear_cases(kernel: KernelMode) {
     let mut ws = Workspace::new();
     ws.set_kernel(kernel);
     let ops = simd::backend(kernel);
-    // 32 stays below the crossover, the rest go integer at every precision.
-    for f in [32, 48, 64, 97, 128, 200] {
+    for f in [48, 64, 97, 128, 200] {
         for k in [1, 3, 10, 17] {
             for with_bias in [false, true] {
                 let mut lin = Linear::new(f, k, with_bias, &mut rng);
@@ -272,9 +272,9 @@ fn linear_cases(kernel: KernelMode) {
                         lin.set_precision(Some(p));
                         let got = lin.forward_ws(&x, Mode::Infer, &mut ws);
                         assert_eq!(got.shape(), &[n, k]);
-                        // The crossover depth of `integer_path` in
-                        // crates/nn/src/pack_memo.rs, at every precision.
-                        let integer = f >= 48;
+                        // The crossover depths of `integer_path` in
+                        // crates/nn/src/pack_memo.rs.
+                        let integer = f >= if bits <= 4 { 96 } else { 48 };
                         let mut want = vec![0.0f32; n * k];
                         if integer {
                             let wq = QuantizedWeights::quantize_rows(&weights, k, f, bits);
@@ -302,9 +302,7 @@ fn linear_cases(kernel: KernelMode) {
                                 fake_quant_affine_slice(src, dst, p);
                             }
                             let mut wq = vec![0.0f32; k * f];
-                            for (src, dst) in weights.chunks(f).zip(wq.chunks_mut(f)) {
-                                fake_quant_symmetric_into(src, dst, p);
-                            }
+                            fake_quant_symmetric_into(&weights, &mut wq, p);
                             matmul_a_bt_ws(n, f, k, &xq, &wq, &mut want, &mut ws);
                             if let Some(b) = &bias {
                                 for row in want.chunks_mut(k) {

@@ -103,39 +103,38 @@ fn width4_model_reproduces_pinned_logits() {
         input_seed: 2,
         max_batch: 8,
     };
-    // Served: the integer network past the crossover. Re-pinned (every
-    // quantized row) when the f32 path's weights moved from one grid per
-    // tensor to one grid per output channel, the integer path's grid, and
-    // ≤ 4-bit layers of depth 48..96 moved to the integer path.
+    // Served: the integer network past the crossovers. Captured under
+    // `native` on the commit before `scalar` began serving it too.
     let infer: Table = [
         (None, 0x587f_e254_c4df_8c20),
-        (Some(4), 0x9f4e_5813_ca55_bbda),
-        (Some(5), 0xbc54_7e09_87bc_9745),
-        (Some(6), 0xceb3_b5dc_fd8f_62d1),
-        (Some(7), 0xda8e_eff5_f05a_7e94),
-        (Some(8), 0xd177_59af_121d_85e3),
+        (Some(4), 0x339b_ef2e_0751_7d17),
+        (Some(5), 0x748e_e307_c662_d621),
+        (Some(6), 0x04fb_6b4d_65fe_53a1),
+        (Some(7), 0xd320_80b9_04f9_a7a6),
+        (Some(8), 0x588c_3675_29aa_58f8),
     ];
-    // Attacked: the f32 fake-quant network. Re-pinned (every quantized
-    // row) when its weights moved from one grid per tensor to one grid per
-    // output channel. Do not regenerate casually: a change here means the
+    // Attacked: the f32 fake-quant network. Captured on the commit that
+    // introduced the SIMD dispatch layer, with the engine pinned to scalar
+    // kernels, which served this function until they took the integer
+    // path as well. Do not regenerate casually: a change here means the
     // function every attack differentiates has moved.
     let eval: Table = [
         (None, 0x587f_e254_c4df_8c20),
-        (Some(4), 0xc5d0_a0a1_fd60_91d8),
-        (Some(5), 0x4635_4b64_f0a5_5a6d),
-        (Some(6), 0x5119_0221_0105_5eb5),
-        (Some(7), 0x13c5_4f03_eba2_7c28),
-        (Some(8), 0x7108_1e35_d3e7_0a60),
+        (Some(4), 0xb5f8_182b_3ac9_78be),
+        (Some(5), 0xdb2c_09fa_646d_c06c),
+        (Some(6), 0x6fae_0ca0_3ec8_8183),
+        (Some(7), 0x349e_da3a_52bc_5e1b),
+        (Some(8), 0x43ed_97e4_8b45_cb6f),
     ];
     check(&model, &infer, &eval);
 }
 
 #[test]
 fn width16_model_reproduces_pinned_logits() {
-    // Width 16 puts every block conv (depth 144..1152) past the integer
-    // crossover; the 1x1 shortcuts (depth 16/32/64) straddle it, so f32 and
-    // integer layers alternate inside one served forward. The 12x16 input
-    // keeps H != W.
+    // Width 16 puts every block conv (depth 144..1152) past both integer
+    // crossovers; the 1x1 shortcuts (depth 16/32/64) straddle them, so f32
+    // and integer layers alternate inside one served forward. The 12x16
+    // input keeps H != W.
     let model = Model {
         width: 16,
         classes: 10,
@@ -144,26 +143,23 @@ fn width16_model_reproduces_pinned_logits() {
         input_seed: 12,
         max_batch: 4,
     };
-    // Both tables re-pinned (every quantized row) when the f32 path's
-    // weights moved from one grid per tensor to one grid per output
-    // channel, the integer path's grid: in `Infer` that moves the f32
-    // shortcuts at every precision, and the 64-deep one at 4 bit now runs
-    // integer.
+    // Captured under `native` on the commit *before* the channel-last
+    // integer conv lowering.
     let infer: Table = [
         (None, 0x9025_4e1e_6939_0a97),
-        (Some(4), 0xdd57_5d5c_eba0_f78c),
-        (Some(5), 0xfc49_5ffd_420e_6fdc),
-        (Some(6), 0x039d_cb9b_ef65_724f),
-        (Some(7), 0xf3a7_5878_2331_1f56),
-        (Some(8), 0x3621_8bf7_6822_e4a9),
+        (Some(4), 0xb5fc_1fbf_e4aa_ac60),
+        (Some(5), 0xcc0c_c940_bfc7_cd3a),
+        (Some(6), 0x2eae_0643_260e_1cd2),
+        (Some(7), 0xf30f_0130_079f_a64c),
+        (Some(8), 0xf403_766c_ebca_692e),
     ];
     let eval: Table = [
         (None, 0x9025_4e1e_6939_0a97),
-        (Some(4), 0x7bd8_1de0_0934_9ae7),
-        (Some(5), 0x4be8_26c2_1fda_9c68),
-        (Some(6), 0x392e_5004_49bb_a56c),
-        (Some(7), 0x10b2_838c_7522_4ff2),
-        (Some(8), 0x6a50_6920_ed2a_8553),
+        (Some(4), 0x9aa0_18db_55b3_a347),
+        (Some(5), 0x827c_fbbc_f8f6_9732),
+        (Some(6), 0x709e_2a71_9044_2784),
+        (Some(7), 0xf29a_bb73_e8ea_9c45),
+        (Some(8), 0xba3d_fe13_1c79_b493),
     ];
     check(&model, &infer, &eval);
 }
